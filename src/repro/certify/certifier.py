@@ -1,16 +1,23 @@
 """Drive an exhaustive (or budgeted) sweep and assemble the certificate.
 
-The sweep runs one mini-campaign per fault-space location — ``R`` fresh
+The sweep runs one mini-campaign per fault-space location — ``R``
 randomised invocations under that location's scenario, classified against
-the clean twin simulation — sharded through the resilient executor
+the fault-free reference — sharded through the resilient executor
 (:func:`repro.faults.executor.run_sharded`), so a certify run inherits the
 campaign machinery's checkpointing, resume, parallelism, retry and
 timeout semantics wholesale.
 
-Determinism: every location's runs use ``run_range(lo=0, hi=R)`` with the
-certificate's seed, i.e. all locations share one plaintext/λ draw (common
+Every location's runs are runs ``[0, R)`` of the campaign keyed by the
+certificate's seed, so all locations share one plaintext/λ draw (common
 random numbers — differences between locations are never RNG noise) and
-any witness replays *exactly* as
+therefore one fault-free reference.  Each shard builds one simulator,
+draws once and simulates the reference once
+(:class:`repro.faults.campaign.RangeRun`), then runs one faulted pass per
+location from a snapshot of the generator taken after the clean draws.
+
+Determinism: that snapshot makes each location's faulted pass consume
+exactly the draws ``run_range(lo=0, hi=R)`` gives it, so any witness
+replays *exactly* as
 ``run_campaign(design, scenario.specs, n_runs=R, key=key, seed=seed)``.
 The emitted document depends only on ``(design, space, sample, key, seed,
 R)`` — never on sharding, worker count, or interruption history.
@@ -33,7 +40,7 @@ from repro.certify.space import (
     locations_for_budget,
 )
 from repro.countermeasures.base import ProtectedDesign, RecoveryPolicy
-from repro.faults.campaign import run_campaign, run_range
+from repro.faults.campaign import RangeRun, run_campaign
 from repro.faults.classification import Outcome, classify
 from repro.faults.executor import ExecutorConfig, prewarm_backend, run_sharded
 from repro.faults.models import FaultScenario
@@ -70,9 +77,10 @@ class CertifyConfig:
     fail_fast: bool = False
     #: locations per executor shard
     shard_locations: int = 64
-    #: simulation kernel for the sweep ("levelized"/"reference"; None =
-    #: simulator default).  Bit-exact either way — a certificate's verdict
-    #: never depends on the backend, only its wall-clock does.
+    #: simulation kernel for the sweep ("levelized"/"compiled"/"reference";
+    #: None = simulator default).  Bit-exact whichever is chosen — a
+    #: certificate's verdict never depends on the backend, only its
+    #: wall-clock does.
     backend: str | None = None
     # -- resilient-executor passthrough
     jobs: int = 1
@@ -100,16 +108,21 @@ def _certify_task(
     lo: int,
     hi: int,
 ) -> dict[str, np.ndarray]:
-    """Shard task: mini-campaign each of ``indices[lo:hi]``."""
+    """Shard task: mini-campaign each of ``indices[lo:hi]``.
+
+    One simulator, one draw and one fault-free reference serve every
+    location of the shard; only the faulted pass runs per location.
+    """
     sel = np.asarray(indices[lo:hi], dtype=np.int64)
     counts = np.zeros((len(sel), len(Outcome)), dtype=np.int64)
     witness = np.full(len(sel), -1, dtype=np.int64)
+    run = RangeRun(
+        design, design.simulator(runs, backend=backend), key=key, seed=seed, lo=0
+    )
+    exp = run.expected_bits
     for row, index in enumerate(sel):
         scenario = space.scenario(int(index))
-        _, rel, exp, flags = run_range(
-            design, scenario.specs, key=key, seed=seed, lo=0, hi=runs,
-            backend=backend,
-        )
+        rel, flags = run.faulted(scenario.specs)
         outcomes = classify(
             rel, flags, exp, flag_observable=flag_observable, infective=infective
         )

@@ -79,8 +79,9 @@ class ProtectedDesign:
         """A fresh simulator sized for ``batch`` parallel invocations.
 
         ``backend`` selects the evaluation kernel (``"levelized"`` /
-        ``"reference"``); None uses the simulator default.  Results are
-        bit-identical either way.
+        ``"compiled"`` / ``"reference"``); None uses the simulator default.
+        Results are bit-identical whichever is chosen.  One simulator
+        serves any number of :meth:`run` calls.
         """
         return Simulator(self.circuit, batch, faults=faults, backend=backend)
 
@@ -94,16 +95,20 @@ class ProtectedDesign:
     ) -> dict[str, np.ndarray]:
         """Drive one batched encryption; returns output bit matrices.
 
-        Randomness (λ and garbage words, as the design requires) is drawn
-        from ``rng``; λ in the dynamic variants is streamed fresh every
-        cycle via an input schedule, modelling the free-running TRNG.
+        ``plaintexts`` is one integer per run or a ``(batch, block)`` 0/1
+        matrix.  Randomness (λ and garbage words, as the design requires)
+        is drawn from ``rng``; λ in the dynamic variants is streamed fresh
+        every cycle via an input schedule, modelling the free-running TRNG.
         Returns ``{"ciphertext": (batch, block) bits, "fault": (batch,) bits}``.
         """
         rng = make_rng(rng)
         batch = sim.batch
         sim.reset()
-        sim.set_input_ints("plaintext", list(plaintexts))
-        sim.set_input_ints("key", [key] * batch)
+        if isinstance(plaintexts, np.ndarray) and plaintexts.ndim == 2:
+            sim.set_input_bits("plaintext", plaintexts)
+        else:
+            sim.set_input_ints("plaintext", list(plaintexts))
+        sim.broadcast_input("key", key)
         if "garbage" in self.circuit.inputs:
             sim.set_input_bits(
                 "garbage", random_bits(rng, batch, self.spec.block_bits)

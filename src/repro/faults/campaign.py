@@ -4,8 +4,13 @@ One campaign = one design × one fault scenario × N randomised invocations:
 the key is fixed, the plaintext (and λ, for randomised schemes) is fresh
 per run, the fault location/type is fixed across runs.  Per run the
 campaign records the released word and the outcome classification; the
-ground truth comes from a fault-free twin simulation on the same
-plaintexts.
+ground truth comes from a fault-free reference pass over the same draw.
+
+A :class:`RangeRun` owns one simulator for a run range: it draws the
+range's plaintexts and fault-free randomness and runs the clean reference
+once, then runs one faulted pass per fault scenario on the same simulator.
+Campaign chunks reuse one simulator per batch size; a certify shard shares
+one draw and one reference across all of its locations.
 
 Everything is vectorised: 80,000 runs of a ~5,000-gate protected design
 finish in a few seconds.
@@ -26,6 +31,7 @@ into exactly the single-shot result.
 
 from __future__ import annotations
 
+import copy
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -36,11 +42,12 @@ from repro.countermeasures.base import ProtectedDesign
 from repro.faults.classification import Outcome, classify
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec
+from repro.netlist.simulator import Simulator
 from repro.rng import BlockedRng, derive_rng, random_bits
 from repro.telemetry import trace
 from repro.utils.bits import bits_to_ints
 
-__all__ = ["RNG_BLOCK", "CampaignResult", "run_campaign"]
+__all__ = ["RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
 
 #: Runs per RNG substream — the granularity of the determinism contract.
 #: Chunk and shard boundaries are aligned to multiples of this.
@@ -66,6 +73,48 @@ def range_rng(seed: int, lo: int, hi: int) -> BlockedRng:
     return BlockedRng(parts)
 
 
+class RangeRun:
+    """Runs ``[lo, lo + sim.batch)`` of the campaign keyed by ``seed``.
+
+    Construction draws the range's plaintexts and fault-free randomness
+    and runs the clean reference once on ``sim``.  The generator is then
+    snapshotted, so every :meth:`faulted` pass starts its injector masks
+    and its own λ/garbage draws from exactly the state a fresh
+    two-simulator run of the range would reach after its clean pass: the
+    bits match that loop for every scenario, while the simulator is built
+    once and the reference simulated once.
+    """
+
+    def __init__(
+        self,
+        design: ProtectedDesign,
+        sim: Simulator,
+        *,
+        key: int,
+        seed: int,
+        lo: int,
+    ) -> None:
+        self.design = design
+        self.sim = sim
+        self.key = key
+        rng = range_rng(seed, lo, lo + sim.batch)
+        self.plaintext_bits = random_bits(rng, sim.batch, design.spec.block_bits)
+        clean = design.run(sim, self.plaintext_bits, key, rng=rng)
+        self.expected_bits = clean["ciphertext"]
+        self._after_clean = rng
+
+    def faulted(self, specs: Sequence[FaultSpec]) -> tuple[np.ndarray, np.ndarray]:
+        """One faulted pass under ``specs``: ``(released_bits, fault_flags)``."""
+        rng = copy.deepcopy(self._after_clean)
+        sim = self.sim
+        sim.faults = FaultInjector(specs, sim.batch, rng=rng)
+        try:
+            out = self.design.run(sim, self.plaintext_bits, self.key, rng=rng)
+        finally:
+            sim.faults = None
+        return out["ciphertext"], out["fault"]
+
+
 def run_range(
     design: ProtectedDesign,
     specs: Sequence[FaultSpec],
@@ -83,49 +132,33 @@ def run_range(
     for exactly those runs.  This is the shared kernel of the single-shot
     path and every executor shard; per-block RNG keying makes the output
     independent of how the range is batched (``chunk`` is rounded down to a
-    whole number of RNG blocks and only bounds simulator memory).
+    whole number of RNG blocks and only bounds simulator memory).  One
+    simulator serves every chunk of the same size, so a range builds at
+    most two (full chunks and a partial final one).
     ``backend`` selects the simulation kernel; like ``chunk`` it never
     affects the bits (the backends are bit-exact by contract), only speed.
     """
     block = design.spec.block_bits
     chunk = max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
+    n = hi - lo
+    pt = np.empty((n, block), dtype=np.uint8)
+    rel = np.empty((n, block), dtype=np.uint8)
+    exp = np.empty((n, block), dtype=np.uint8)
+    flags = np.empty(n, dtype=np.uint8)
 
-    span = trace.span(
-        "campaign.run_range", scheme=design.scheme, lo=lo, hi=hi
-    )
-    pt_parts: list[np.ndarray] = []
-    rel_parts: list[np.ndarray] = []
-    exp_parts: list[np.ndarray] = []
-    flag_parts: list[np.ndarray] = []
-
-    with span:
-        start = lo
-        while start < hi:
+    with trace.span("campaign.run_range", scheme=design.scheme, lo=lo, hi=hi):
+        sim = None
+        for start in range(lo, hi, chunk):
             stop = min(start + chunk, hi)
-            batch = stop - start
-            rng = range_rng(seed, start, stop)
-            pts_bits = random_bits(rng, batch, block)
-            pts = bits_to_ints(pts_bits)
-
-            clean_sim = design.simulator(batch, backend=backend)
-            clean = design.run(clean_sim, pts, key, rng=rng)
-
-            injector = FaultInjector(specs, batch, rng=rng)
-            fault_sim = design.simulator(batch, faults=injector, backend=backend)
-            faulted = design.run(fault_sim, pts, key, rng=rng)
-
-            pt_parts.append(pts_bits)
-            rel_parts.append(faulted["ciphertext"])
-            exp_parts.append(clean["ciphertext"])
-            flag_parts.append(faulted["fault"])
-            start = stop
-
-    return (
-        np.concatenate(pt_parts),
-        np.concatenate(rel_parts),
-        np.concatenate(exp_parts),
-        np.concatenate(flag_parts),
-    )
+            if sim is None or sim.batch != stop - start:
+                sim = run = None  # free the old simulator before sizing a new one
+                sim = design.simulator(stop - start, backend=backend)
+            run = RangeRun(design, sim, key=key, seed=seed, lo=start)
+            rows = slice(start - lo, stop - lo)
+            pt[rows] = run.plaintext_bits
+            exp[rows] = run.expected_bits
+            rel[rows], flags[rows] = run.faulted(specs)
+    return pt, rel, exp, flags
 
 
 @dataclass

@@ -344,7 +344,9 @@ def test_pool_campaign_aggregates_worker_telemetry(
     assert final["metrics"]["gauges"]["executor.runs_per_second"] > 0
 
     summary = summarize(records)
-    assert len(summary["pids"]) >= 3  # parent + two workers
+    # The parent plus at least one worker: the pool may hand both shards
+    # to the same worker, so a third pid is a matter of timing.
+    assert len(summary["pids"]) >= 2
     assert summary["spans"]["executor.shard"]["count"] == 2
     assert summary["retries"] == 0 and summary["failed_shards"] == 0
 
