@@ -237,8 +237,6 @@ def _cmd_serve(args) -> int:
         max_queue=args.max_queue,
         jobs=args.jobs or 1,
         default_deadline_s=args.deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
         drain_timeout_s=args.drain_timeout,
     )
     service = CertificationService(config)
@@ -472,7 +470,8 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None, choices=list(BACKENDS),
         help="simulation kernel: levelized (fast, default), compiled "
         "(fastest, AOT-generated) or reference (per-gate oracle); "
-        "results are bit-identical",
+        "results are bit-identical and a served campaign runs on exactly "
+        "the kernel named",
     )
 
 
@@ -670,8 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request wall-clock deadline in seconds; exceeding "
         "it yields a valid degraded certificate, never a dropped request",
     )
-    pserve.add_argument("--breaker-threshold", type=int, default=3)
-    pserve.add_argument("--breaker-cooldown", type=float, default=60.0)
     pserve.add_argument("--drain-timeout", type=float, default=600.0)
     pserve.set_defaults(fn=_cmd_serve)
 
@@ -824,7 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CHECKPOINT_MISMATCH = 3
 
 #: exit status when the certification daemon cannot serve the request now
-#: (unreachable, load-shed with Retry-After, draining, or quarantined)
+#: (unreachable, load-shed with Retry-After, draining, or the campaign
+#: failed with a typed error)
 EXIT_UNAVAILABLE = 4
 
 

@@ -75,13 +75,7 @@ from repro.faults.classification import classify
 from repro.faults.models import FaultSpec
 from repro.resilience.chaos import chaos
 from repro.resilience.errors import ShardHang, classify_error
-from repro.telemetry import (
-    ProgressTracker,
-    enable_kernel_timings,
-    kernel_timings_enabled,
-    metrics,
-    trace,
-)
+from repro.telemetry import ProgressTracker, metrics, trace
 
 log = logging.getLogger(__name__)
 
@@ -261,9 +255,8 @@ _WORKER_CTX: dict = {}
 def _worker_init(payload: bytes) -> None:
     ctx = pickle.loads(payload)
     _WORKER_CTX["ctx"] = ctx
-    # apply the parent's telemetry/chaos switches in this worker process
-    # (fork inherits them, but spawn-based pools start from clean state)
-    enable_kernel_timings(ctx[3].get("kernel_metrics", False))
+    # apply the parent's chaos schedule in this worker process (fork
+    # inherits it, but spawn-based pools start from clean state)
     chaos.configure(ctx[4])
     _run_prewarm(ctx[5])
 
@@ -561,7 +554,6 @@ class _Supervisor:
         cfg = self.config
         tele = {
             "capture": trace.enabled,
-            "kernel_metrics": kernel_timings_enabled(),
             # the supervisor thread's correlation fields (request_id, ...)
             # travel to workers so captured shard spans stay attributable
             "ctx": dict(trace.context()),

@@ -52,7 +52,6 @@ exactly like the levelized kernel.
 
 from __future__ import annotations
 
-import time
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -68,8 +67,6 @@ from repro.netlist.levelized import (
     compile_schedule,
     faults_by_level,
 )
-from repro.telemetry.metrics import kernel_timings_enabled
-from repro.telemetry.metrics import metrics as _metrics
 
 __all__ = ["CompiledProgram", "CompiledKernel", "compile_program"]
 
@@ -183,7 +180,8 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
     # bit-permutation layer) are thereby absorbed into the layout once, at
     # compile time.
     comb_outs = set(schedule.out_level)
-    dff_q = [g.out for g in circuit.dffs()]
+    dffs = circuit.dffs()
+    dff_q = [g.out for g in dffs]
     dff_q_set = set(dff_q)
     plain_sources = [
         n for n in range(num_nets) if n not in comb_outs and n not in dff_q_set
@@ -243,7 +241,7 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
     # opportunistic: linearize the DFF latch gather too, if the D pins all
     # come from one still-free block
     q_order = member_order("q", len(dff_q))
-    d_nets = [circuit.dffs()[j].ins[0] for j in q_order]
+    d_nets = [dffs[j].ins[0] for j in q_order]
     if len(d_nets) >= 2:
         constrain(d_nets)
 
@@ -371,7 +369,7 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
     net_of[row_of] = np.arange(num_nets, dtype=np.intp)
     # D-pin rows in Q-block row order, so latch row i feeds Q row q_lo + i
     dff_d_rows = np.array(
-        [row_of[circuit.dffs()[j].ins[0]] for j in q_order], dtype=np.intp
+        [row_of[dffs[j].ins[0]] for j in q_order], dtype=np.intp
     )
     program = CompiledProgram(
         schedule=schedule,
@@ -479,8 +477,6 @@ class CompiledKernel:
         level's transforms replayed in reference program order — the exact
         discipline of the levelized kernel, on permuted rows.
         """
-        if kernel_timings_enabled():
-            return self._run_timed(fault_map)
         if fault_map:
             faulted = faults_by_level(self.program.schedule, fault_map)
             if faulted:
@@ -497,25 +493,3 @@ class CompiledKernel:
             for _, net, transform in faulted.get(level, ()):
                 row = row_of[net]
                 vals[row] = transform(vals[row])
-
-    def _run_timed(self, fault_map: Mapping[int, Transform] | None) -> None:
-        """:meth:`run` with per-level timing histograms."""
-        registry = _metrics
-        registry.inc("kernel.compiled.cycles")
-        faulted = None
-        if fault_map:
-            faulted = faults_by_level(self.program.schedule, fault_map)
-            if not faulted:
-                faulted = None
-        vals = self.vals
-        row_of = self.row_of
-        for level, fn in enumerate(self._levels):
-            t0 = time.perf_counter()
-            fn()
-            registry.observe(
-                f"kernel.compiled.l{level:02d}", time.perf_counter() - t0
-            )
-            if faulted is not None:
-                for _, net, transform in faulted.get(level, ()):
-                    row = row_of[net]
-                    vals[row] = transform(vals[row])

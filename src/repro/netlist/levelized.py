@@ -30,7 +30,6 @@ same circuit object — levelize once per process, not once per shard.
 
 from __future__ import annotations
 
-import time
 import weakref
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -39,8 +38,6 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.telemetry.metrics import kernel_timings_enabled
-from repro.telemetry.metrics import metrics as _metrics
 
 __all__ = [
     "LevelGroup",
@@ -194,54 +191,14 @@ class LevelizedKernel:
         Source-net transforms are the caller's job (the simulator applies
         them before the program runs, same as the reference path); this
         method handles the gate-output transforms.
-
-        Telemetry: when per-(level, opcode) kernel timings are on
-        (:func:`repro.telemetry.metrics.enable_kernel_timings` or
-        ``REPRO_KERNEL_METRICS=1``) the instrumented twin below runs
-        instead; the disabled default pays exactly this one flag check per
-        call, keeping the hot path bit-for-bit the uninstrumented loop.
         """
-        if kernel_timings_enabled():
-            return self._run_timed(vals, fault_map)
-        faulted = None
-        if fault_map:
-            faulted = self._faults_by_level(fault_map)
-            if not faulted:
-                faulted = None
+        faulted = faults_by_level(self.schedule, fault_map) if fault_map else None
         for level, groups in enumerate(self.schedule.groups):
             for group in groups:
                 self._eval_group(group, vals)
-            if faulted is not None:
+            if faulted:
                 for _, net, transform in faulted.get(level, ()):
                     vals[net] = transform(vals[net])
-
-    def _run_timed(
-        self, vals: np.ndarray, fault_map: Mapping[int, Transform] | None = None
-    ) -> None:
-        """:meth:`run` with per-(level, opcode) timing histograms."""
-        registry = _metrics
-        registry.inc("kernel.levelized.cycles")
-        faulted = None
-        if fault_map:
-            faulted = self._faults_by_level(fault_map)
-            if not faulted:
-                faulted = None
-        for level, groups in enumerate(self.schedule.groups):
-            for group in groups:
-                t0 = time.perf_counter()
-                self._eval_group(group, vals)
-                registry.observe(
-                    f"kernel.l{level:02d}.{group.gtype.value}",
-                    time.perf_counter() - t0,
-                )
-            if faulted is not None:
-                for _, net, transform in faulted.get(level, ()):
-                    vals[net] = transform(vals[net])
-
-    def _faults_by_level(
-        self, fault_map: Mapping[int, Transform]
-    ) -> dict[int, list[tuple[int, int, Transform]]]:
-        return faults_by_level(self.schedule, fault_map)
 
     def _eval_group(self, group: LevelGroup, vals: np.ndarray) -> None:
         # Plain fancy-index gathers measure faster than np.take(..., out=)

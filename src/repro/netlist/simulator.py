@@ -33,15 +33,12 @@ externally visible addressing scheme for all backends.
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Callable, Mapping, Sequence
 from typing import Protocol
 
 import numpy as np
 
 from repro.netlist.circuit import Circuit
-from repro.telemetry.metrics import kernel_timings_enabled
-from repro.telemetry.metrics import metrics as _metrics
 from repro.netlist.gates import GateType
 from repro.utils.bits import pack_bits, unpack_bits, words_for
 
@@ -200,9 +197,10 @@ class Simulator:
                 c = gate.ins[2] if len(gate.ins) > 2 else 0
                 self._program.append((op, gate.out, a, b, c))
 
-        self._dff_d = np.array([g.ins[0] for g in circuit.dffs()], dtype=np.intp)
-        self._dff_q = np.array([g.out for g in circuit.dffs()], dtype=np.intp)
-        self._dff_init = np.array([g.init for g in circuit.dffs()], dtype=np.uint64)
+        dffs = circuit.dffs()
+        self._dff_d = np.array([g.ins[0] for g in dffs], dtype=np.intp)
+        self._dff_q = np.array([g.out for g in dffs], dtype=np.intp)
+        self._dff_init = np.array([g.init for g in dffs], dtype=np.uint64)
         self._const0_nets = [
             g.out for g in circuit.gates if g.gtype is GateType.CONST0
         ]
@@ -353,15 +351,6 @@ class Simulator:
                     vals[row] = transform(vals[row])
         if self._kernel is not None:
             self._kernel.run(vals, fault_map if fault_map else None)
-        elif kernel_timings_enabled():
-            t0 = time.perf_counter()
-            if fault_map:
-                self._run_program_faulty(fault_map)
-            else:
-                self._run_program_clean()
-            _metrics.observe(
-                "kernel.reference.cycle", time.perf_counter() - t0
-            )
         elif fault_map:
             self._run_program_faulty(fault_map)
         else:

@@ -4,18 +4,14 @@
 service: overlapping fault-space sweeps from many clients dedupe onto one
 simulation through a crash-recoverable content-addressed store, load is
 shed with structured backpressure instead of queueing without bound,
-deadlines degrade to valid partial certificates, a circuit breaker routes
-around a sick backend, and SIGTERM drains gracefully.  See
-:mod:`repro.service.daemon` for the full robustness contract.
+deadlines degrade to valid partial certificates, a failed campaign is
+reported with its typed error on the backend it asked for, and SIGTERM
+drains gracefully.  See :mod:`repro.service.daemon` for the full
+robustness contract.
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import (
-    CertificationService,
-    ServiceConfig,
-    ServiceUnavailable,
-)
+from repro.service.daemon import CertificationService, ServiceConfig
 from repro.service.protocol import (
     CertifyRequest,
     build_design,
@@ -28,12 +24,10 @@ from repro.service.top import render_status, run_top
 __all__ = [
     "CertificationService",
     "CertifyRequest",
-    "CircuitBreaker",
     "ResultStore",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "ServiceUnavailable",
     "build_design",
     "circuit_digest",
     "render_status",

@@ -94,7 +94,8 @@ class ServiceClient:
         200 → ``{"status": "done", "certificate": {...}, "cached": ...}``;
         202 → accepted without waiting (``wait=False``; poll ``status()``
         then ``certificate(doc["key"])``); 429 → shed (honour
-        ``retry_after_s``); 503 → draining/quarantined.  Every response
+        ``retry_after_s``); 500 → the campaign failed (``error_kind``);
+        503 → draining.  Every response
         carries the server-assigned ``request_id``.
         """
         body = dict(request)

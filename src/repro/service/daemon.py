@@ -36,10 +36,12 @@ onto the executor's ``wall_budget``: when it expires the campaign stops
 scheduling shards and emits a *valid degraded* certificate with explicit
 uncovered-space accounting, and its checkpoints stay resumable.
 
-**Circuit breaker** — repeated campaign failures (typed by PR 5's
-``ErrorKind``) open the (cipher, backend) lane and new work is routed
-over a healthy bit-exact backend; with every lane open the request is
-refused with a structured ``503``.
+**Failures stay where they happened** — a campaign always runs on the
+backend its request names.  The kernels are bit-exact, so a kernel bug
+is deterministic: rerouting would hide it and would swap the simulator
+behind a certificate's evidence.  A failed campaign answers ``500``
+with its :class:`~repro.resilience.errors.ErrorKind` and is tallied in
+``campaigns_failed`` and per kind under ``failures_by_kind``.
 
 **Graceful drain** — SIGTERM/SIGINT stops admission (``503 draining``),
 lets in-flight campaigns finish (or checkpoint, bounded by
@@ -58,7 +60,7 @@ workers, so every span and event of the campaign carries the id and
 The campaign's :class:`~repro.telemetry.progress.ProgressTracker`
 publishes under the same id to the live board, which ``GET /status``
 merges with the request registry: per-request state, shard progress %,
-ETA, plus queue depth, breaker lanes and store/dedupe counters.  A
+ETA, plus queue depth, failure tallies and store/dedupe counters.  A
 request carrying ``"wait": false`` is acknowledged immediately with
 ``202 Accepted`` (poll ``/status`` then ``/certificate/<key>``).
 """
@@ -76,7 +78,6 @@ from dataclasses import dataclass
 
 from repro.resilience.chaos import ChaosSpec, chaos
 from repro.resilience.errors import classify_error
-from repro.service.breaker import CircuitBreaker
 from repro.service.protocol import CertifyRequest, build_design, request_key
 from repro.service.store import ResultStore
 from repro.telemetry import (
@@ -87,13 +88,9 @@ from repro.telemetry import (
     trace,
 )
 
-__all__ = ["CertificationService", "ServiceConfig", "ServiceUnavailable"]
+__all__ = ["CertificationService", "ServiceConfig"]
 
 log = logging.getLogger(__name__)
-
-
-class ServiceUnavailable(RuntimeError):
-    """Every candidate (cipher, backend) lane is quarantined."""
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,6 @@ class ServiceConfig:
     jobs: int = 1
     #: deadline applied to requests that do not carry their own
     default_deadline_s: float | None = None
-    #: consecutive (cipher, backend) failures before the lane opens
-    breaker_threshold: int = 3
-    #: seconds an open lane stays quarantined before a half-open probe
-    breaker_cooldown_s: float = 60.0
     #: how long a drain waits for in-flight campaigns before giving up
     #: (their checkpoints make the abandonment lossless)
     drain_timeout_s: float = 600.0
@@ -144,10 +137,6 @@ class CertificationService:
 
         self.config = config
         self.store = ResultStore(config.store_dir)
-        self.breaker = CircuitBreaker(
-            threshold=config.breaker_threshold,
-            cooldown_s=config.breaker_cooldown_s,
-        )
         self._certify = certify or certify_design
         self._designs: dict = {}
         self._design_lock = threading.Lock()
@@ -162,9 +151,10 @@ class CertificationService:
             "campaigns_completed": 0,
             "campaigns_degraded": 0,
             "campaigns_failed": 0,
-            "rerouted": 0,
             "drains": 0,
         }
+        #: failed campaigns per ErrorKind
+        self.failures_by_kind: dict[str, int] = {}
         self.port: int | None = None
         self.ready = threading.Event()
         self._draining = False
@@ -198,31 +188,15 @@ class CertificationService:
                 self._designs[sig] = design
         return request_key(norm, design), design
 
-    def _choose_backend(self, norm: CertifyRequest, cipher: str) -> str:
-        """Requested lane if healthy, else route around the open breaker."""
-        from repro.netlist.simulator import BACKENDS
-
-        requested = norm.backend
-        for backend in [requested] + [b for b in BACKENDS if b != requested]:
-            if self.breaker.allow(cipher, backend):
-                if backend != requested:
-                    self._count("rerouted")
-                    trace.event(
-                        "service.rerouted",
-                        cipher=cipher,
-                        requested=requested,
-                        used=backend,
-                    )
-                return backend
-        raise ServiceUnavailable(
-            f"all simulation backends quarantined for cipher {cipher!r}"
-        )
+    def _count_failure(self, kind: str) -> None:
+        self._count("campaigns_failed")
+        self.failures_by_kind[kind] = self.failures_by_kind.get(kind, 0) + 1
 
     # ------------------------------------------------------------- campaign
 
     def _run_campaign(
-        self, norm: CertifyRequest, design, backend: str, key: str,
-        rid: str, parent_span: str | None,
+        self, norm: CertifyRequest, design, key: str, rid: str,
+        parent_span: str | None,
     ):
         from repro.certify import CertifyConfig
 
@@ -237,7 +211,7 @@ class CertificationService:
             models=norm.models,
             cycles=norm.cycles,
             seed=norm.seed,
-            backend=backend,
+            backend=norm.backend,
             jobs=self.config.jobs,
             checkpoint_dir=str(self.store.work_dir(key)),
             resume=True,
@@ -267,17 +241,11 @@ class CertificationService:
                 self._queue.task_done()
 
     async def _execute(self, key, norm, design, future, rid) -> None:
-        cipher = design.spec.name
-        try:
-            backend = self._choose_backend(norm, cipher)
-        except ServiceUnavailable as exc:
-            future.set_exception(exc)
-            return
+        backend = norm.backend
         self._count("campaigns_started")
         entry = self._requests.get(rid)
         if entry is not None:
             entry["state"] = "running"
-            entry["backend"] = backend
             entry["started_t"] = round(time.time(), 3)
         with trace.span(
             "service.campaign", key=key[:16], scheme=norm.scheme,
@@ -286,16 +254,14 @@ class CertificationService:
             parent_span = getattr(campaign_span, "span_id", None)
             try:
                 certificate = await asyncio.to_thread(
-                    self._run_campaign, norm, design, backend, key, rid,
-                    parent_span,
+                    self._run_campaign, norm, design, key, rid, parent_span,
                 )
             except Exception as exc:
                 kind = str(classify_error(exc))
-                self.breaker.record_failure(cipher, backend, kind)
-                self._count("campaigns_failed")
+                self._count_failure(kind)
                 log.error(
                     "campaign %s failed on %s/%s [%s]: %s",
-                    key[:16], cipher, backend, kind, exc,
+                    key[:16], design.spec.name, backend, kind, exc,
                 )
                 if not future.done():
                     future.set_exception(exc)
@@ -307,16 +273,15 @@ class CertificationService:
             and coverage.get("locations_planned", 0) > 0
         )
         if infra_dead:
-            # Every shard was quarantined: the lane, not the design, is
-            # sick — feed the breaker the first shard's typed error.
-            kind = coverage["failed_shards"][0].get("error_kind", "transient")
-            self.breaker.record_failure(cipher, backend, kind)
-            self._count("campaigns_failed")
+            # Every shard was quarantined: count the campaign under the
+            # first shard's typed error, not as completed.
+            self._count_failure(
+                coverage["failed_shards"][0].get("error_kind", "transient")
+            )
         else:
-            self.breaker.record_success(cipher, backend)
-        self._count("campaigns_completed")
-        if certificate.degraded:
-            self._count("campaigns_degraded")
+            self._count("campaigns_completed")
+            if certificate.degraded:
+                self._count("campaigns_degraded")
         if not future.done():
             future.set_result((certificate, backend))
 
@@ -424,9 +389,8 @@ class CertificationService:
             entry["state"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
-            certificate, backend = future.result()
+            certificate, _ = future.result()
             entry["state"] = "degraded" if certificate.degraded else "done"
-            entry["backend"] = backend
             entry["passed"] = certificate.passed
         trace.event(
             "request.done", request_id=rid, key=key[:16], state=entry["state"]
@@ -436,12 +400,6 @@ class CertificationService:
     async def _await_result(self, key, future, *, cached) -> tuple[int, dict]:
         try:
             certificate, backend = await asyncio.shield(future)
-        except ServiceUnavailable as exc:
-            return 503, {
-                "status": "quarantined",
-                "error": str(exc),
-                "retry_after_s": self.config.breaker_cooldown_s,
-            }
         except Exception as exc:
             return 500, {
                 "status": "error",
@@ -562,7 +520,7 @@ class CertificationService:
                 1 for f in self._inflight.values() if not f.done()
             ),
             "counters": dict(self.counters),
-            "breaker": self.breaker.snapshot(),
+            "failures_by_kind": dict(self.failures_by_kind),
             "store": {
                 "entries": len(self.store.entries),
                 "pending_work": self.store.pending_work(),

@@ -58,14 +58,6 @@ def render_status(doc: dict) -> str:
         f"failed={counters.get('campaigns_failed', 0)}"
     )
 
-    open_lanes = [
-        f"{lane}:{info.get('state')}"
-        for lane, info in (doc.get("breaker") or {}).items()
-        if info.get("state") != "closed"
-    ]
-    if open_lanes:
-        lines.append("breaker: " + ", ".join(sorted(open_lanes)))
-
     requests = doc.get("requests", [])
     lines.append("")
     if requests:

@@ -17,10 +17,8 @@ stdlib-only machinery and **zero overhead when disabled**:
     A process-local registry of counters, gauges and histograms with
     mergeable snapshots — worker processes return their snapshot with
     each shard result and the supervisor folds it into the parent
-    registry.  Per-(level, opcode) simulator kernel timings hang off the
-    same registry behind :func:`~repro.telemetry.metrics.kernel_timings_enabled`.
-    :func:`~repro.telemetry.metrics.render_prometheus` renders any
-    snapshot as Prometheus text exposition for the service's
+    registry.  :func:`~repro.telemetry.metrics.render_prometheus`
+    renders any snapshot as Prometheus text exposition for the service's
     ``/metrics`` endpoint.
 
 :mod:`repro.telemetry.progress`
@@ -58,8 +56,6 @@ from repro.telemetry.history import (
 from repro.telemetry.manifest import cpu_model, run_manifest
 from repro.telemetry.metrics import (
     MetricsRegistry,
-    enable_kernel_timings,
-    kernel_timings_enabled,
     metrics,
     render_prometheus,
 )
@@ -81,9 +77,7 @@ __all__ = [
     "clear_live",
     "config_digest",
     "cpu_model",
-    "enable_kernel_timings",
     "eta_seconds",
-    "kernel_timings_enabled",
     "live_progress",
     "load_history",
     "metrics",

@@ -2,11 +2,9 @@
 
 The registry is process-local and always functional — recording a counter
 is a dict lookup and an integer add, cheap enough to leave unguarded at
-shard/campaign granularity.  The one genuinely hot site, the levelized
-simulation kernel's per-(level, opcode) group loop, is additionally gated
-behind :data:`KERNEL_TIMINGS` so the disabled default adds a single
-boolean check per ``run()`` call (see
-:class:`repro.netlist.levelized.LevelizedKernel`).
+shard/campaign granularity.  Nothing records inside the simulation
+kernels' cycle loops: the end-to-end benchmark's traced run times whole
+layer entry points from outside instead.
 
 Cross-process aggregation: a worker calls :meth:`MetricsRegistry.reset`
 before its shard, :meth:`MetricsRegistry.snapshot` after, and ships the
@@ -17,7 +15,6 @@ histograms combine their (count, total, min, max) moments.
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 
@@ -25,10 +22,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "KERNEL_TIMINGS",
     "MetricsRegistry",
-    "enable_kernel_timings",
-    "kernel_timings_enabled",
     "metrics",
     "render_prometheus",
 ]
@@ -224,17 +218,3 @@ def render_prometheus(snapshot: dict) -> str:
 
 #: the process-wide registry
 metrics = MetricsRegistry()
-
-#: per-(level, opcode) kernel timing switch; read once per kernel ``run()``
-#: call, so the disabled default costs one module-attribute load + branch.
-KERNEL_TIMINGS = os.environ.get("REPRO_KERNEL_METRICS", "") not in ("", "0")
-
-
-def kernel_timings_enabled() -> bool:
-    return KERNEL_TIMINGS
-
-
-def enable_kernel_timings(on: bool = True) -> None:
-    """Turn the per-(level, opcode) kernel timing histograms on or off."""
-    global KERNEL_TIMINGS
-    KERNEL_TIMINGS = bool(on)

@@ -11,7 +11,9 @@ Three properties beyond the differential suite
   ``Simulator.step`` must not create a single new numpy array (the whole
   point of the preallocated buffer plan);
 - the generated source is well-formed and the layout invariants hold
-  (row map is a permutation; DFF outputs contiguous).
+  (row map is a permutation; DFF outputs contiguous);
+- codegen scans the circuit's DFF list a bounded number of times, not
+  once per flip-flop.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.netlist.builder import CircuitBuilder
+from repro.netlist.circuit import Circuit
 from repro.netlist.compiled import (
     _PROGRAM_CACHE,
     CompiledKernel,
@@ -108,6 +111,27 @@ class TestLayoutInvariants:
         compile(program.source, "<check>", "exec")  # must round-trip
         kernel = CompiledKernel(program, n_words=1)
         assert len(kernel._levels) == program.n_levels
+
+
+class TestCodegenCost:
+    def test_compile_program_scans_the_dff_list_at_most_twice(
+        self, monkeypatch
+    ):
+        """Codegen stays linear: the gate list is not rescanned per DFF."""
+        b = CircuitBuilder()
+        x = b.input("x", 16)
+        q, connect = b.register(16)
+        connect([b.xor(x[i], q[(i + 1) % 16]) for i in range(16)])
+        b.output("y", q)
+        circ = b.circuit
+
+        calls = []
+        dffs = Circuit.dffs
+        monkeypatch.setattr(
+            Circuit, "dffs", lambda self: calls.append(1) or dffs(self)
+        )
+        compile_program(circ)
+        assert len(calls) <= 2
 
 
 class TestZeroAllocationSteadyState:

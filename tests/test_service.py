@@ -1,21 +1,22 @@
-"""The certification daemon: dedupe, backpressure, breaker, drain, chaos.
+"""The certification daemon: dedupe, backpressure, failures, drain, chaos.
 
 Robustness is the headline contract of :mod:`repro.service` (ISSUE 8):
 these tests hold the daemon to the same standard ``tests/test_chaos.py``
 holds the executor — identical concurrent requests cost one simulation,
 crash debris resumes to bit-identical certificates, overload sheds with a
-structured retry, deadlines degrade instead of dropping, a sick backend
-lane is quarantined and routed around, and SIGTERM-style drains always
-terminate with a persisted store index.
+structured retry, deadlines degrade instead of dropping, a failing
+campaign is reported on the backend it asked for (never rerouted), and
+SIGTERM-style drains always terminate with a persisted store index.
 
 Real campaigns use a tiny reduced-round PRESENT sweep (~0.3 s); the
-scheduling-logic tests (admission, dedupe, breaker, drain) inject a stub
+scheduling-logic tests (admission, dedupe, failures, drain) inject a stub
 ``certify`` so they are fast and fully deterministic.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -34,7 +35,6 @@ from repro.resilience.chaos import _fires
 from repro.service import (
     CertificationService,
     CertifyRequest,
-    CircuitBreaker,
     ResultStore,
     ServiceClient,
     ServiceConfig,
@@ -208,38 +208,6 @@ class TestResultStore:
         assert store.get("a" * 64) is None  # never serve unverifiable bits
         assert "a" * 64 not in store.entries
         assert not path.exists()
-
-
-# ------------------------------------------------------------------ breaker
-
-
-class TestCircuitBreaker:
-    def test_opens_at_threshold_and_half_opens_after_cooldown(self):
-        now = [0.0]
-        breaker = CircuitBreaker(
-            threshold=3, cooldown_s=10.0, clock=lambda: now[0]
-        )
-        for _ in range(2):
-            breaker.record_failure("present", "compiled", "transient")
-            assert breaker.allow("present", "compiled")
-        breaker.record_failure("present", "compiled", "crash")
-        assert breaker.is_open("present", "compiled")
-        assert not breaker.allow("present", "compiled")
-        assert breaker.allow("present", "levelized")  # lanes are independent
-
-        now[0] = 10.0  # cooldown elapsed: exactly one half-open probe
-        assert breaker.allow("present", "compiled")
-        assert not breaker.allow("present", "compiled")  # probe already out
-
-        breaker.record_failure("present", "compiled", "transient")  # probe dies
-        assert not breaker.allow("present", "compiled")  # re-opened
-        now[0] = 20.0
-        assert breaker.allow("present", "compiled")
-        breaker.record_success("present", "compiled")  # probe heals the lane
-        assert breaker.allow("present", "compiled")
-        assert not breaker.is_open("present", "compiled")
-        kinds = breaker.snapshot()["present/compiled"]["error_kinds"]
-        assert kinds == {"transient": 3, "crash": 1}
 
 
 # --------------------------------------------------- end to end (real sweeps)
@@ -506,57 +474,54 @@ class TestAdmissionControl:
             assert admitted["doc"]["status"] == "done"
 
 
-class TestBreakerRouting:
-    def test_sick_backend_lane_opens_and_routes_around(
+class TestCampaignFailures:
+    def test_failing_backend_fails_every_time_without_reroute(
         self, tmp_path, direct_cert
     ):
-        def moody_certify(design, *, key, config):
+        seen = []
+
+        def compiled_breaks(design, *, key, config):
+            seen.append(config.backend)
             if config.backend == "compiled":
                 raise RuntimeError("codegen exploded")
             return direct_cert
 
-        with running(
-            tmp_path / "store",
-            certify=moody_certify,
-            breaker_threshold=2,
-            breaker_cooldown_s=3600.0,
-        ) as (service, client):
+        with running(tmp_path / "store", certify=compiled_breaks) as (
+            service,
+            client,
+        ):
             request = {**TINY, "backend": "compiled"}
-            for _ in range(2):
+            for attempt in range(1, 4):
                 status, doc = client.submit(request)
                 assert status == 500
                 assert doc["status"] == "error"
                 assert doc["error_kind"] == "transient"
-            snap = service.breaker.snapshot()["present80/compiled"]
-            assert snap["open"] and snap["failures"] == 2
+                assert seen == ["compiled"] * attempt  # never rerouted
+                status_doc = client.status()
+                assert status_doc["counters"]["campaigns_failed"] == attempt
+                assert status_doc["failures_by_kind"] == {"transient": attempt}
+            assert status_doc["counters"]["campaigns_completed"] == 0
 
-            # third identical request: lane open → rerouted to a healthy
-            # bit-exact backend, and the campaign succeeds
-            status, doc = client.submit(request)
-            assert status == 200 and doc["backend"] == "levelized"
-            assert service.counters["rerouted"] == 1
-
-    def test_all_lanes_open_refuses_with_structured_503(self, tmp_path):
-        def doomed_certify(design, *, key, config):
-            raise RuntimeError("everything is broken")
+    def test_all_shards_quarantined_counts_as_failed_only(
+        self, tmp_path, direct_cert
+    ):
+        coverage = {
+            **direct_cert.coverage,
+            "locations_covered": 0,
+            "degraded": True,
+            "failed_shards": [{"index": 0, "error_kind": "crash"}],
+        }
+        dead = dataclasses.replace(direct_cert, coverage=coverage, locations=[])
 
         with running(
             tmp_path / "store",
-            certify=doomed_certify,
-            breaker_threshold=1,
-            breaker_cooldown_s=3600.0,
+            certify=lambda design, *, key, config: dead,
         ) as (service, client):
-            # each failure opens the lane it ran on; the reroute chain
-            # burns through all three backends
-            for expected in (500, 500, 500):
-                status, doc = client.submit(TINY)
-                assert status == expected
-            status, doc, headers = client._request(
-                "POST", "/certify", body=TINY
-            )
-            assert status == 503
-            assert doc["status"] == "quarantined"
-            assert "Retry-After" in headers
+            status, doc = client.submit(TINY)
+            assert status == 200 and doc["degraded"]
+        assert service.counters["campaigns_failed"] == 1
+        assert service.counters["campaigns_completed"] == 0
+        assert service.failures_by_kind == {"crash": 1}
 
 
 class TestDrain:
@@ -608,7 +573,8 @@ class TestHttpSurface:
         assert health["counters"]["requests"] == 1
         assert health["counters"]["campaigns_started"] == 1
         assert health["store"]["entries"] == 1
-        assert "queue_depth" in health and "breaker" in health
+        assert "queue_depth" in health
+        assert health["failures_by_kind"] == {}
 
     def test_metrics_negotiates_json_and_prometheus(self, tmp_path, direct_cert):
         with running(
