@@ -104,8 +104,8 @@ def selmke_attack(
         models = [FaultType.STUCK_AT_0, FaultType.STUCK_AT_1]
     dfa = dfa_attack_last_round(
         design.spec,
-        campaign.expected_bits[effective],
-        campaign.released_bits[effective],
+        campaign.unpack(campaign.expected[effective]),
+        campaign.unpack(campaign.released[effective]),
         target_sbox,
         faulted_bit,
         models,

@@ -88,8 +88,7 @@ def ineffective_distribution(
     Computed under the true key (this is the paper's *visualisation* of the
     bias, not the key-recovery step).
     """
-    indices = result.select(outcome)
-    cts = result.released_bits[indices]
+    cts = result.unpack(result.released[result.select(outcome)])
     x = recover_sbox_inputs(
         spec, cts, target_sbox, true_subkey(spec, result.key, target_sbox)
     )
@@ -179,8 +178,7 @@ def sifa_attack(
     if not hasattr(spec, "perm"):
         raise ValueError("sifa_attack needs a bit-permutation cipher (SpnSpec)")
     n = spec.sbox.n
-    indices = result.select(outcome)
-    cts = result.released_bits[indices]
+    cts = result.unpack(result.released[result.select(outcome)])
     biases = predicted_conditional_bias(spec, faulted_bit, polarity)
 
     recoveries = []
@@ -208,6 +206,6 @@ def sifa_attack(
     return SifaResult(
         faulted_sbox=faulted_sbox,
         faulted_bit=faulted_bit,
-        n_samples=len(indices),
+        n_samples=len(cts),
         recoveries=recoveries,
     )

@@ -111,7 +111,8 @@ def _certify_task(
     """Shard task: mini-campaign each of ``indices[lo:hi]``.
 
     One simulator, one draw and one fault-free reference serve every
-    location of the shard; only the faulted pass runs per location.
+    location of the shard; only the faulted pass runs per location, and
+    its released byte rows are classified against the reference's.
     """
     sel = np.asarray(indices[lo:hi], dtype=np.int64)
     counts = np.zeros((len(sel), len(Outcome)), dtype=np.int64)
@@ -119,7 +120,7 @@ def _certify_task(
     run = RangeRun(
         design, design.simulator(runs, backend=backend), key=key, seed=seed, lo=0
     )
-    exp = run.expected_bits
+    exp = run.expected
     for row, index in enumerate(sel):
         scenario = space.scenario(int(index))
         rel, flags = run.faulted(scenario.specs)
@@ -295,7 +296,6 @@ def certify_design(
             ranges,
             config=ExecutorConfig(
                 jobs=config.jobs,
-                chunk=max(runs, 1),
                 checkpoint_dir=config.checkpoint_dir,
                 resume=config.resume,
                 timeout=config.timeout,

@@ -6,11 +6,19 @@ per run, the fault location/type is fixed across runs.  Per run the
 campaign records the released word and the outcome classification; the
 ground truth comes from a fault-free reference pass over the same draw.
 
+Words stay packed from the simulator to the attack code: plaintexts,
+released and expected words are byte rows of shape
+``(runs, ceil(block / 8))`` (LSB-first, the layout of
+``np.packbits(bits, axis=1, bitorder="little")``), an eighth of a bit
+matrix.  Classification compares the byte rows directly; attacks select
+the runs they need and unpack only those.
+
 A :class:`RangeRun` owns one simulator for a run range: it draws the
 range's plaintexts and fault-free randomness and runs the clean reference
 once, then runs one faulted pass per fault scenario on the same simulator.
-Campaign chunks reuse one simulator per batch size; a certify shard shares
-one draw and one reference across all of its locations.
+Campaign chunks of :data:`CHUNK` lanes reuse one simulator per batch size;
+a certify shard shares one draw and one reference across all of its
+locations.
 
 Everything is vectorised: 80,000 runs of a ~5,000-gate protected design
 finish in a few seconds.
@@ -45,13 +53,17 @@ from repro.faults.models import FaultSpec
 from repro.netlist.simulator import Simulator
 from repro.rng import BlockedRng, derive_rng, random_bits
 from repro.telemetry import trace
-from repro.utils.bits import bits_to_ints
+from repro.utils.bits import bits_to_bytes, bytes_to_bits, bytes_to_ints
 
-__all__ = ["RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
+__all__ = ["CHUNK", "RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
 
 #: Runs per RNG substream — the granularity of the determinism contract.
 #: Chunk and shard boundaries are aligned to multiples of this.
 RNG_BLOCK = 1024
+
+#: Default simulator batch (lanes) of a campaign chunk.  Bits never depend
+#: on it; 16,384 lanes keep both kernels' working set in cache.
+CHUNK = 1 << 14
 
 
 def range_rng(seed: int, lo: int, hi: int) -> BlockedRng:
@@ -77,7 +89,8 @@ class RangeRun:
     """Runs ``[lo, lo + sim.batch)`` of the campaign keyed by ``seed``.
 
     Construction draws the range's plaintexts and fault-free randomness
-    and runs the clean reference once on ``sim``.  The generator is then
+    and runs the clean reference once on ``sim``; ``plaintext`` and
+    ``expected`` hold them as byte rows.  The generator is then
     snapshotted, so every :meth:`faulted` pass starts its injector masks
     and its own λ/garbage draws from exactly the state a fresh
     two-simulator run of the range would reach after its clean pass: the
@@ -98,21 +111,24 @@ class RangeRun:
         self.sim = sim
         self.key = key
         rng = range_rng(seed, lo, lo + sim.batch)
-        self.plaintext_bits = random_bits(rng, sim.batch, design.spec.block_bits)
-        clean = design.run(sim, self.plaintext_bits, key, rng=rng)
-        self.expected_bits = clean["ciphertext"]
+        plaintext_bits = random_bits(rng, sim.batch, design.spec.block_bits)
+        clean = design.run(sim, plaintext_bits, key, rng=rng)
+        self.plaintext = bits_to_bytes(plaintext_bits)
+        self.expected = bits_to_bytes(clean["ciphertext"])
         self._after_clean = rng
 
     def faulted(self, specs: Sequence[FaultSpec]) -> tuple[np.ndarray, np.ndarray]:
-        """One faulted pass under ``specs``: ``(released_bits, fault_flags)``."""
+        """One faulted pass under ``specs``: ``(released, fault_flags)``,
+        the released words as byte rows."""
         rng = copy.deepcopy(self._after_clean)
         sim = self.sim
+        plaintext_bits = bytes_to_bits(self.plaintext, self.design.spec.block_bits)
         sim.faults = FaultInjector(specs, sim.batch, rng=rng)
         try:
-            out = self.design.run(sim, self.plaintext_bits, self.key, rng=rng)
+            out = self.design.run(sim, plaintext_bits, self.key, rng=rng)
         finally:
             sim.faults = None
-        return out["ciphertext"], out["fault"]
+        return bits_to_bytes(out["ciphertext"]), out["fault"]
 
 
 def run_range(
@@ -123,27 +139,27 @@ def run_range(
     seed: int,
     lo: int,
     hi: int,
-    chunk: int = 1 << 15,
+    chunk: int = CHUNK,
     backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate runs ``[lo, hi)`` of the campaign keyed by ``seed``.
 
-    Returns ``(plaintext_bits, released_bits, expected_bits, fault_flags)``
-    for exactly those runs.  This is the shared kernel of the single-shot
-    path and every executor shard; per-block RNG keying makes the output
-    independent of how the range is batched (``chunk`` is rounded down to a
-    whole number of RNG blocks and only bounds simulator memory).  One
-    simulator serves every chunk of the same size, so a range builds at
-    most two (full chunks and a partial final one).
+    Returns ``(plaintext, released, expected, fault_flags)`` for exactly
+    those runs, the words as byte rows.  This is the shared kernel of the
+    single-shot path and every executor shard; per-block RNG keying makes
+    the output independent of how the range is batched (``chunk`` is
+    rounded down to a whole number of RNG blocks and only bounds simulator
+    memory).  One simulator serves every chunk of the same size, so a
+    range builds at most two (full chunks and a partial final one).
     ``backend`` selects the simulation kernel; like ``chunk`` it never
     affects the bits (the backends are bit-exact by contract), only speed.
     """
-    block = design.spec.block_bits
+    width = (design.spec.block_bits + 7) // 8
     chunk = max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
     n = hi - lo
-    pt = np.empty((n, block), dtype=np.uint8)
-    rel = np.empty((n, block), dtype=np.uint8)
-    exp = np.empty((n, block), dtype=np.uint8)
+    pt = np.empty((n, width), dtype=np.uint8)
+    rel = np.empty((n, width), dtype=np.uint8)
+    exp = np.empty((n, width), dtype=np.uint8)
     flags = np.empty(n, dtype=np.uint8)
 
     with trace.span("campaign.run_range", scheme=design.scheme, lo=lo, hi=hi):
@@ -155,25 +171,49 @@ def run_range(
                 sim = design.simulator(stop - start, backend=backend)
             run = RangeRun(design, sim, key=key, seed=seed, lo=start)
             rows = slice(start - lo, stop - lo)
-            pt[rows] = run.plaintext_bits
-            exp[rows] = run.expected_bits
+            pt[rows] = run.plaintext
+            exp[rows] = run.expected
             rel[rows], flags[rows] = run.faulted(specs)
     return pt, rel, exp, flags
 
 
 @dataclass
 class CampaignResult:
-    """Everything observed during one campaign, in attacker-usable form."""
+    """Everything observed during one campaign, in attacker-usable form.
+
+    The words are stored as byte rows of shape ``(runs, ceil(block / 8))``
+    (see :mod:`repro.utils.bits`).  ``plaintext_bits``, ``released_bits``
+    and ``expected_bits`` unpack a whole field on demand; attack code that
+    needs only some runs selects rows first and unpacks them with
+    :meth:`unpack`.
+    """
 
     scheme: str
     key: int
     specs: list[FaultSpec]
-    plaintext_bits: np.ndarray  # (runs, block) 0/1
-    released_bits: np.ndarray  # (runs, block) 0/1 — what left the chip
-    expected_bits: np.ndarray  # (runs, block) 0/1 — fault-free ciphertexts
+    block_bits: int
+    plaintext: np.ndarray  # (runs, ceil(block/8)) byte rows
+    released: np.ndarray  # byte rows — what left the chip
+    expected: np.ndarray  # byte rows — fault-free ciphertexts
     fault_flags: np.ndarray  # (runs,) 0/1
     outcomes: np.ndarray  # (runs,) Outcome values
     extra: dict = field(default_factory=dict)
+
+    def unpack(self, rows: np.ndarray) -> np.ndarray:
+        """Byte rows of this campaign's block as a ``(runs, block)`` bit matrix."""
+        return bytes_to_bits(rows, self.block_bits)
+
+    @property
+    def plaintext_bits(self) -> np.ndarray:
+        return self.unpack(self.plaintext)
+
+    @property
+    def released_bits(self) -> np.ndarray:
+        return self.unpack(self.released)
+
+    @property
+    def expected_bits(self) -> np.ndarray:
+        return self.unpack(self.expected)
 
     @property
     def n_runs(self) -> int:
@@ -202,17 +242,13 @@ class CampaignResult:
 
     def released_ints(self, indices: np.ndarray | None = None) -> list[int]:
         """Released words as integers (for spec-level attack code)."""
-        bits = self.released_bits
-        if indices is not None:
-            bits = bits[indices]
-        return bits_to_ints(bits)
+        rows = self.released if indices is None else self.released[indices]
+        return bytes_to_ints(rows)
 
     def plaintext_ints(self, indices: np.ndarray | None = None) -> list[int]:
         """Plaintexts as integers."""
-        bits = self.plaintext_bits
-        if indices is not None:
-            bits = bits[indices]
-        return bits_to_ints(bits)
+        rows = self.plaintext if indices is None else self.plaintext[indices]
+        return bytes_to_ints(rows)
 
     def nibble(self, bits: np.ndarray, index: int, width: int = 4) -> np.ndarray:
         """Extract a ``width``-bit slice value from a bit matrix, per run."""
@@ -227,7 +263,8 @@ class CampaignResult:
 
         Large campaigns take a while to run; saving lets attack analyses be
         re-run offline.  Fault specs are stored as JSON documents
-        (:meth:`FaultSpec.to_dict`) and reconstructed on load.
+        (:meth:`FaultSpec.to_dict`) and reconstructed on load; the words
+        are stored as byte rows.
         """
         np.savez_compressed(
             path,
@@ -236,9 +273,10 @@ class CampaignResult:
             specs=np.array(
                 [json.dumps(s.to_dict(), sort_keys=True) for s in self.specs]
             ),
-            plaintext_bits=self.plaintext_bits,
-            released_bits=self.released_bits,
-            expected_bits=self.expected_bits,
+            block_bits=np.array(self.block_bits),
+            plaintext=self.plaintext,
+            released=self.released,
+            expected=self.expected,
             fault_flags=self.fault_flags,
             outcomes=self.outcomes,
         )
@@ -249,9 +287,19 @@ class CampaignResult:
 
         Specs round-trip into real :class:`FaultSpec` objects.  Archives
         written by older versions stored ``repr`` strings instead; those
-        are kept verbatim under ``extra["loaded_specs"]``.
+        are kept verbatim under ``extra["loaded_specs"]``.  Older archives
+        also stored the words as bit matrices (``*_bits`` keys); those are
+        packed on load.
         """
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as archive:
+            data = {k: archive[k] for k in archive.files}
+        names = ("plaintext", "released", "expected")
+        if "block_bits" in data:
+            block_bits = int(data["block_bits"])
+            words = {k: data[k] for k in names}
+        else:
+            block_bits = data["released_bits"].shape[1]
+            words = {k: bits_to_bytes(data[f"{k}_bits"]) for k in names}
         specs: list[FaultSpec] = []
         legacy: list[str] = []
         for text in data["specs"].tolist():
@@ -264,9 +312,8 @@ class CampaignResult:
             scheme=str(data["scheme"]),
             key=int(str(data["key"])),
             specs=specs,
-            plaintext_bits=data["plaintext_bits"],
-            released_bits=data["released_bits"],
-            expected_bits=data["expected_bits"],
+            block_bits=block_bits,
+            **words,
             fault_flags=data["fault_flags"],
             outcomes=data["outcomes"],
             extra=extra,
@@ -280,7 +327,7 @@ def run_campaign(
     n_runs: int = 80_000,
     key: int,
     seed: int = 1,
-    chunk: int = 1 << 15,
+    chunk: int = CHUNK,
     flag_observable: bool | None = None,
     jobs: int | None = None,
     shard_runs: int | None = None,
@@ -346,25 +393,19 @@ def run_campaign(
             backend=backend,
         )
 
-    block = design.spec.block_bits
     with trace.span(
         "campaign.run", scheme=design.scheme, n_runs=n_runs, seed=seed
     ):
-        if n_runs <= 0:
-            empty_word = np.zeros((0, block), dtype=np.uint8)
-            empty_flag = np.zeros(0, dtype=np.uint8)
-            pt, rel, exp, flags = empty_word, empty_word, empty_word, empty_flag
-        else:
-            pt, rel, exp, flags = run_range(
-                design,
-                specs,
-                key=key,
-                seed=seed,
-                lo=0,
-                hi=n_runs,
-                chunk=chunk,
-                backend=backend,
-            )
+        pt, rel, exp, flags = run_range(
+            design,
+            specs,
+            key=key,
+            seed=seed,
+            lo=0,
+            hi=max(n_runs, 0),
+            chunk=chunk,
+            backend=backend,
+        )
         outcomes = classify(
             rel, flags, exp, flag_observable=flag_observable, infective=infective
         )
@@ -372,9 +413,10 @@ def run_campaign(
         scheme=design.scheme,
         key=key,
         specs=list(specs),
-        plaintext_bits=pt,
-        released_bits=rel,
-        expected_bits=exp,
+        block_bits=design.spec.block_bits,
+        plaintext=pt,
+        released=rel,
+        expected=exp,
         fault_flags=flags,
         outcomes=outcomes,
         extra={"variant": design.variant, "n_runs": n_runs},

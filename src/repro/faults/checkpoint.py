@@ -3,7 +3,8 @@
 Layout of a checkpoint directory::
 
     manifest.json       campaign identity + per-shard status ledger
-    shard_00000.npz     raw arrays of shard 0 (plaintext/released/expected/flags)
+    shard_00000.npz     arrays of shard 0 (plaintext/released/expected byte rows,
+                        fault flags)
     shard_00001.npz     ...
 
 The manifest is the source of truth for resume: it pins the campaign
@@ -35,6 +36,7 @@ import json
 import os
 import tempfile
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -54,8 +56,10 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 
-#: Array keys persisted per shard, in digest order.
-SHARD_KEYS = ("plaintext_bits", "released_bits", "expected_bits", "fault_flags")
+#: Array keys persisted per shard, in digest order.  The words are byte
+#: rows (:mod:`repro.utils.bits`); checkpoints written when shards held bit
+#: matrices under ``*_bits`` keys fail the manifest's key check on resume.
+SHARD_KEYS = ("plaintext", "released", "expected", "fault_flags")
 
 
 class CheckpointError(RuntimeError):
@@ -256,7 +260,7 @@ class CheckpointStore:
         try:
             with np.load(self.shard_path(index), allow_pickle=False) as data:
                 arrays = {k: data[k] for k in self.keys}
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
             return None
         if record.digest and shard_digest(arrays, self.keys) != record.digest:
             return None

@@ -43,8 +43,10 @@ def classify(
 ) -> np.ndarray:
     """Vector-classify a batch.
 
-    Parameters are ``(batch, block)`` bit matrices for ``released`` and
-    ``expected`` and a ``(batch,)`` 0/1 vector for the comparator flag.
+    ``released`` and ``expected`` are ``(batch, block)`` bit matrices or
+    ``(batch, ceil(block / 8))`` byte rows (two rows are equal exactly
+    when their words are, so either layout gives the same outcomes);
+    ``fault_flags`` is a ``(batch,)`` 0/1 vector for the comparator flag.
     Returns a ``(batch,)`` array of :class:`Outcome` values.
 
     ``flag_observable`` says whether the flag manifests externally.  For

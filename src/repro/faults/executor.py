@@ -69,7 +69,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.countermeasures.base import ProtectedDesign
-from repro.faults.campaign import RNG_BLOCK, CampaignResult, run_range
+from repro.faults.campaign import CHUNK, RNG_BLOCK, CampaignResult, run_range
 from repro.faults.checkpoint import SHARD_KEYS, CheckpointCorrupt, CheckpointStore
 from repro.faults.classification import classify
 from repro.faults.models import FaultSpec
@@ -111,8 +111,9 @@ class ExecutorConfig:
     jobs: int = 1
     #: runs per shard (rounded down to a multiple of ``RNG_BLOCK``)
     shard_runs: int = 8192
-    #: simulator batch bound inside a shard (memory knob, never affects bits)
-    chunk: int = 1 << 15
+    #: simulator batch bound inside a shard, in lanes (memory knob, never
+    #: affects bits; see :data:`repro.faults.campaign.CHUNK`)
+    chunk: int = CHUNK
     #: directory for the manifest + shard archives; None disables checkpoints
     checkpoint_dir: object = None
     #: reuse verified shards from an existing checkpoint
@@ -235,16 +236,11 @@ def _campaign_task(
     hi: int,
 ) -> dict[str, np.ndarray]:
     """Shard task of a fault campaign: simulate runs ``[lo, hi)``."""
-    pt, rel, exp, flags = run_range(
+    arrays = run_range(
         design, specs, key=key, seed=seed, lo=lo, hi=hi, chunk=chunk,
         backend=backend,
     )
-    return {
-        "plaintext_bits": pt,
-        "released_bits": rel,
-        "expected_bits": exp,
-        "fault_flags": flags,
-    }
+    return dict(zip(SHARD_KEYS, arrays))
 
 
 # ----------------------------------------------------------- pool workers
@@ -884,7 +880,6 @@ def run_campaign_sharded(
     if flag_observable is None:
         flag_observable = design.scheme != "triplication"
     infective = design.policy is RecoveryPolicy.INFECTIVE
-    block = design.spec.block_bits
 
     shard_runs = max(
         RNG_BLOCK, config.shard_runs - config.shard_runs % RNG_BLOCK
@@ -921,16 +916,11 @@ def run_campaign_sharded(
         )
     merged = run.merged(SHARD_KEYS)
     if merged is None:
-        merged = {
-            "plaintext_bits": np.zeros((0, block), dtype=np.uint8),
-            "released_bits": np.zeros((0, block), dtype=np.uint8),
-            "expected_bits": np.zeros((0, block), dtype=np.uint8),
-            "fault_flags": np.zeros(0, dtype=np.uint8),
-        }
+        merged = task(0, 0)  # no shard survived: the empty arrays
     outcomes = classify(
-        merged["released_bits"],
+        merged["released"],
         merged["fault_flags"],
-        merged["expected_bits"],
+        merged["expected"],
         flag_observable=flag_observable,
         infective=infective,
     )
@@ -938,9 +928,10 @@ def run_campaign_sharded(
         scheme=design.scheme,
         key=key,
         specs=list(specs),
-        plaintext_bits=merged["plaintext_bits"],
-        released_bits=merged["released_bits"],
-        expected_bits=merged["expected_bits"],
+        block_bits=design.spec.block_bits,
+        plaintext=merged["plaintext"],
+        released=merged["released"],
+        expected=merged["expected"],
         fault_flags=merged["fault_flags"],
         outcomes=outcomes,
         extra={

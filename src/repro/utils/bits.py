@@ -5,15 +5,20 @@ the circuit holds one logical bit per run, and a batch of ``B`` runs is stored
 as ``ceil(B / 64)`` little-endian ``uint64`` words: bit ``j`` of word ``w``
 holds the net value for run ``64 * w + j``.
 
-Two layouts appear throughout the code base:
+Three layouts appear throughout the code base:
 
 - **bit matrix** — ``numpy`` array of shape ``(batch, width)`` and dtype
   ``uint8`` with values in ``{0, 1}``; column ``i`` is bit ``i`` (LSB-first)
   of a ``width``-bit port across the batch;
 - **packed rows** — ``numpy`` array of shape ``(width, n_words)`` and dtype
-  ``uint64``; row ``i`` is the packed batch vector for bit ``i``.
+  ``uint64``; row ``i`` is the packed batch vector for bit ``i``;
+- **byte rows** — ``numpy`` array of shape ``(batch, ceil(width / 8))`` and
+  dtype ``uint8``; row ``r`` is run ``r``'s word as little-endian bytes
+  (bit ``i`` is bit ``i % 8`` of byte ``i // 8``).  Campaign results are
+  stored this way: 8× smaller than a bit matrix, and two rows are equal
+  exactly when their words are.
 
-These helpers convert between Python integers, bit matrices and packed rows.
+These helpers convert between Python integers and the three layouts.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "bits_to_bytes",
     "bits_to_int",
     "bits_to_ints",
+    "bytes_to_bits",
+    "bytes_to_ints",
     "int_to_bits",
     "ints_to_bits",
     "pack_bits",
@@ -79,7 +87,7 @@ def ints_to_bits(values, width: int) -> np.ndarray:
     if not values:
         return np.zeros((0, width), dtype=np.uint8)
     buf = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(values), n_bytes)
-    return np.unpackbits(buf, axis=1, bitorder="little")[:, :width].copy()
+    return bytes_to_bits(buf, width)
 
 
 def bits_to_ints(bits: np.ndarray) -> list[int]:
@@ -87,14 +95,26 @@ def bits_to_ints(bits: np.ndarray) -> list[int]:
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {bits.shape}")
-    if bits.shape[0] == 0:
-        return []
-    # One packbits call collapses the (batch, width) matrix to little-endian
-    # bytes; each row then converts in a single C-level int.from_bytes.
-    packed = np.packbits(
-        bits.astype(np.uint8, copy=False), axis=1, bitorder="little"
+    return bytes_to_ints(bits_to_bytes(bits))
+
+
+def bits_to_bytes(bits: np.ndarray) -> np.ndarray:
+    """Pack a ``(batch, width)`` bit matrix into ``(batch, ceil(width/8))``
+    byte rows (LSB-first; padding bits of the last byte are zero)."""
+    return np.packbits(
+        np.asarray(bits, dtype=np.uint8), axis=1, bitorder="little"
     )
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def bytes_to_bits(rows: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of :func:`bits_to_bytes`: byte rows to a ``(batch, width)``
+    bit matrix."""
+    return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def bytes_to_ints(rows: np.ndarray) -> list[int]:
+    """Byte rows to Python integers, one C-level ``int.from_bytes`` per row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

@@ -1,0 +1,143 @@
+"""Packed campaign results: memory, layout and compatibility.
+
+Campaign words stay byte rows ``(runs, ceil(block / 8))`` from the
+simulator to the attack code.  These tests bound a campaign's traced peak
+below what its words alone would take unpacked, pin the ``*_bits`` views to
+``np.unpackbits`` of the stored rows, and check that archives and
+checkpoints written with the old bit-matrix keys are handled: archives are
+packed on load, checkpoints refuse to resume.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.ciphers.netlist_present import PresentSpec
+from repro.countermeasures import build_naive_duplication
+from repro.faults import (
+    RNG_BLOCK,
+    CampaignResult,
+    CheckpointError,
+    CheckpointStore,
+    FaultSpec,
+    FaultType,
+    last_round,
+    run_campaign,
+)
+from repro.faults.campaign import CHUNK
+from repro.faults.classification import classify
+from repro.faults.executor import campaign_identity
+from repro.faults.models import sbox_input_net
+from tests.conftest import TEST_KEY80
+
+LEGACY_KEYS = ("plaintext_bits", "released_bits", "expected_bits", "fault_flags")
+
+
+@pytest.fixture(scope="module")
+def design():
+    return build_naive_duplication(PresentSpec(rounds=3))
+
+
+@pytest.fixture(scope="module")
+def specs(design):
+    core = design.cores[0]
+    return [
+        FaultSpec.at(sbox_input_net(core, 7, 1), FaultType.STUCK_AT_0, last_round(core))
+    ]
+
+
+@pytest.fixture(scope="module")
+def result(design, specs):
+    return run_campaign(design, specs, n_runs=3000, key=TEST_KEY80, seed=21)
+
+
+@pytest.mark.parametrize("backend", ["levelized", "compiled"])
+def test_campaign_peak_stays_below_its_unpacked_words(design, specs, backend):
+    n_runs = 8 * CHUNK
+    # build and compile outside the traced window
+    run_campaign(design, specs, n_runs=RNG_BLOCK, key=TEST_KEY80, backend=backend)
+    tracemalloc.start()
+    try:
+        result = run_campaign(
+            design, specs, n_runs=n_runs, key=TEST_KEY80, backend=backend
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_runs == n_runs
+    # three (runs, block) uint8 matrices: plaintexts, released, expected
+    unpacked_words = 3 * n_runs * design.spec.block_bits
+    assert peak < unpacked_words, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_bits_views_unpack_the_stored_rows(result):
+    block = result.block_bits
+    assert result.released.shape == (result.n_runs, (block + 7) // 8)
+    for name in ("plaintext", "released", "expected"):
+        rows = getattr(result, name)
+        assert rows.dtype == np.uint8
+        want = np.unpackbits(rows, axis=1, bitorder="little")[:, :block]
+        np.testing.assert_array_equal(getattr(result, f"{name}_bits"), want)
+    assert result.released_ints([0])[0] == sum(
+        int(b) << i for i, b in enumerate(result.released_bits[0])
+    )
+
+
+def test_bits_views_are_read_only(result):
+    with pytest.raises(AttributeError):
+        result.released_bits = result.released_bits
+
+
+def test_legacy_bit_matrix_archive_loads_and_classifies(result, tmp_path):
+    path = tmp_path / "legacy.npz"
+    np.savez_compressed(
+        path,
+        scheme=np.array(result.scheme),
+        key=np.array(str(result.key)),
+        specs=np.array([]),
+        plaintext_bits=result.plaintext_bits,
+        released_bits=result.released_bits,
+        expected_bits=result.expected_bits,
+        fault_flags=result.fault_flags,
+        outcomes=result.outcomes,
+    )
+    loaded = CampaignResult.load(path)
+    assert loaded.block_bits == result.block_bits
+    for name in ("plaintext", "released", "expected"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(result, name))
+    outcomes = classify(loaded.released, loaded.fault_flags, loaded.expected)
+    np.testing.assert_array_equal(outcomes, result.outcomes)
+    assert loaded.counts() == result.counts()
+
+
+def test_resuming_a_bit_matrix_checkpoint_is_refused(design, specs, result, tmp_path):
+    """A checkpoint whose shards hold ``*_bits`` matrices never mixes with
+    packed shards: its manifest pins the old key set."""
+    ck = tmp_path / "ck"
+    n_runs = 2 * RNG_BLOCK
+    store = CheckpointStore(ck, keys=LEGACY_KEYS)
+    store.create(
+        campaign_identity(
+            design, specs, key=TEST_KEY80, seed=21, n_runs=n_runs,
+            shard_runs=RNG_BLOCK,
+        ),
+        [(0, RNG_BLOCK), (RNG_BLOCK, n_runs)],
+    )
+    rows = slice(0, RNG_BLOCK)
+    store.write_shard(
+        0,
+        {
+            "plaintext_bits": result.plaintext_bits[rows],
+            "released_bits": result.released_bits[rows],
+            "expected_bits": result.expected_bits[rows],
+            "fault_flags": result.fault_flags[rows],
+        },
+    )
+    with pytest.raises(CheckpointError, match="stores arrays"):
+        run_campaign(
+            design, specs, n_runs=n_runs, key=TEST_KEY80, seed=21,
+            shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+        )

@@ -327,8 +327,8 @@ class TestCheckpointIntegrity:
         store.load()
         arrays = store.read_shard(1)
         assert arrays is not None
-        arrays["released_bits"] = arrays["released_bits"].copy()
-        arrays["released_bits"][0, 0] ^= 1
+        arrays["released"] = arrays["released"].copy()
+        arrays["released"][0, 0] ^= 1
         np.savez_compressed(store.shard_path(1), **arrays)
         assert store.read_shard(1) is None  # digest mismatch detected
 

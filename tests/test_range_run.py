@@ -23,7 +23,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import last_round, sbox_input_net
 from repro.netlist.simulator import BACKENDS, Simulator
 from repro.rng import random_bits
-from repro.utils.bits import bits_to_ints
+from repro.utils.bits import bits_to_bytes, bits_to_ints
 from tests.conftest import TEST_KEY80
 
 #: sha256 of the timing-free rendering of the certificate produced by
@@ -35,7 +35,10 @@ GOLDEN_CERTIFICATE_SHA256 = (
 
 
 def two_simulator_range(design, specs, *, key, seed, lo, hi, chunk, backend):
-    """The oracle: a fresh clean twin and a fresh faulty simulator per chunk."""
+    """The oracle: a fresh clean twin and a fresh faulty simulator per chunk.
+
+    Words are packed into byte rows only at the end, the layout
+    ``run_range`` returns."""
     block = design.spec.block_bits
     chunk = max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
     parts: tuple[list, list, list, list] = ([], [], [], [])
@@ -52,7 +55,10 @@ def two_simulator_range(design, specs, *, key, seed, lo, hi, chunk, backend):
         fault_sim = design.simulator(batch, faults=injector, backend=backend)
         faulted = design.run(fault_sim, pts, key, rng=rng)
         arrays = (
-            pts_bits, faulted["ciphertext"], clean["ciphertext"], faulted["fault"]
+            bits_to_bytes(pts_bits),
+            bits_to_bytes(faulted["ciphertext"]),
+            bits_to_bytes(clean["ciphertext"]),
+            faulted["fault"],
         )
         for part, array in zip(parts, arrays):
             part.append(array)
@@ -145,8 +151,8 @@ def test_faulted_passes_are_independent_of_order(designs):
     for n in names + names[::-1]:
         released, flags = run.faulted(scenario(design, n))
         pt, rel, exp, fl = want[n]
-        np.testing.assert_array_equal(run.plaintext_bits, pt)
-        np.testing.assert_array_equal(run.expected_bits, exp)
+        np.testing.assert_array_equal(run.plaintext, pt)
+        np.testing.assert_array_equal(run.expected, exp)
         np.testing.assert_array_equal(released, rel)
         np.testing.assert_array_equal(flags, fl)
 
