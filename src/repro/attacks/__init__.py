@@ -17,12 +17,7 @@ key-recovery attack stops working*, not just as a distribution plot:
   the above.
 """
 
-from repro.attacks.metrics import chi_squared_uniform, sei
-from repro.attacks.sifa import sifa_attack
-from repro.attacks.dfa import dfa_attack_last_round
-from repro.attacks.pfa import pfa_attack
-from repro.attacks.selmke import selmke_attack
-from repro.attacks.fta import fta_attack
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "chi_squared_uniform",
@@ -33,3 +28,16 @@ __all__ = [
     "selmke_attack",
     "sifa_attack",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "chi_squared_uniform": "repro.attacks.metrics",
+        "dfa_attack_last_round": "repro.attacks.dfa",
+        "fta_attack": "repro.attacks.fta",
+        "pfa_attack": "repro.attacks.pfa",
+        "sei": "repro.attacks.metrics",
+        "selmke_attack": "repro.attacks.selmke",
+        "sifa_attack": "repro.attacks.sifa",
+    },
+)

@@ -16,18 +16,7 @@ every by-name front-end (CLI, service, evaluation matrix, the cipherlight
 battery) resolves through it.
 """
 
-from repro.ciphers.aes import AES128
-from repro.ciphers.gift import Gift64, Gift128
-from repro.ciphers.present import Present80
-from repro.ciphers.registry import (
-    CipherEntry,
-    get_entry,
-    make_spec,
-    register_cipher,
-    registered_ciphers,
-    resolve_cipher,
-)
-from repro.ciphers.sbox import SBox
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "AES128",
@@ -42,3 +31,20 @@ __all__ = [
     "registered_ciphers",
     "resolve_cipher",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "AES128": "repro.ciphers.aes",
+        "CipherEntry": "repro.ciphers.registry",
+        "get_entry": "repro.ciphers.registry",
+        "Gift128": "repro.ciphers.gift",
+        "Gift64": "repro.ciphers.gift",
+        "make_spec": "repro.ciphers.registry",
+        "Present80": "repro.ciphers.present",
+        "register_cipher": "repro.ciphers.registry",
+        "registered_ciphers": "repro.ciphers.registry",
+        "resolve_cipher": "repro.ciphers.registry",
+        "SBox": "repro.ciphers.sbox",
+    },
+)

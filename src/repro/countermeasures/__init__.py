@@ -21,11 +21,7 @@ all schemes interchangeably:
   S-boxes, in its prime, per-round and per-S-box variants.
 """
 
-from repro.countermeasures.acisp20 import build_acisp20
-from repro.countermeasures.base import ProtectedDesign, RecoveryPolicy
-from repro.countermeasures.duplication import build_naive_duplication
-from repro.countermeasures.three_in_one import LambdaVariant, build_three_in_one
-from repro.countermeasures.triplication import build_triplication
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "LambdaVariant",
@@ -36,3 +32,16 @@ __all__ = [
     "build_three_in_one",
     "build_triplication",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "build_acisp20": "repro.countermeasures.acisp20",
+        "build_naive_duplication": "repro.countermeasures.duplication",
+        "build_three_in_one": "repro.countermeasures.three_in_one",
+        "build_triplication": "repro.countermeasures.triplication",
+        "LambdaVariant": "repro.countermeasures.three_in_one",
+        "ProtectedDesign": "repro.countermeasures.base",
+        "RecoveryPolicy": "repro.countermeasures.base",
+    },
+)

@@ -15,13 +15,15 @@ outputs
     detection flag for campaign statistics, but their released ciphertext
     is the corrected value.
 
-Timing: run ``design.cycles`` clock steps, then one combinational
-evaluation; then read outputs (see :meth:`ProtectedDesign.run`).
+Timing: drive the inputs (:meth:`ProtectedDesign.drive`), run
+``design.cycles`` clock steps, then one combinational evaluation; then read
+outputs (see :meth:`ProtectedDesign.run`).
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +32,10 @@ from repro.ciphers.spn import CipherSpec, SpnCore
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulator import Simulator
-from repro.rng import make_rng, random_bits
+from repro.rng import make_rng, random_words
+from repro.utils.bits import bytes_to_bits
 
-__all__ = ["ProtectedDesign", "RecoveryPolicy", "attach_comparator"]
+__all__ = ["ProtectedDesign", "RecoveryPolicy", "RunOutputs", "attach_comparator"]
 
 Word = list[int]
 
@@ -85,6 +88,57 @@ class ProtectedDesign:
         """
         return Simulator(self.circuit, batch, faults=faults, backend=backend)
 
+    def drive(
+        self,
+        sim: Simulator,
+        plaintexts,
+        key: int,
+        rng: np.random.Generator,
+        *,
+        lambdas: Sequence[int] | None = None,
+    ) -> None:
+        """Reset ``sim`` and drive the inputs of one batched invocation.
+
+        ``plaintexts`` is ``(block, n_words)`` uint64 packed rows, a
+        ``(batch, block)`` 0/1 matrix or one integer per run.  The key is
+        broadcast to every lane.  The garbage word and λ, as the design
+        requires, are drawn packed from ``rng`` in that order; λ in the
+        dynamic variants is one draw per cycle, streamed through an input
+        schedule that models the free-running TRNG.  ``lambdas`` pins λ
+        per run instead (static-λ designs only) and draws nothing for it.
+        """
+        batch = sim.batch
+        sim.reset()
+        if isinstance(plaintexts, np.ndarray) and plaintexts.ndim == 2:
+            if plaintexts.dtype == np.uint64:
+                sim.set_input_words("plaintext", plaintexts)
+            else:
+                sim.set_input_bits("plaintext", plaintexts)
+        else:
+            sim.set_input_ints("plaintext", list(plaintexts))
+        sim.broadcast_input("key", key)
+        if "garbage" in self.circuit.inputs:
+            sim.set_input_words(
+                "garbage", random_words(rng, batch, self.spec.block_bits)
+            )
+        if not self.lambda_width:
+            return
+        if lambdas is not None:
+            if self.dynamic_lambda:
+                raise ValueError("λ pinning needs a static-λ design (prime/acisp)")
+            sim.set_input_ints("lambda", list(lambdas))
+        elif self.dynamic_lambda:
+            # Pre-draw one λ word per cycle so runs stay reproducible.
+            per_cycle = [
+                random_words(rng, batch, self.lambda_width)
+                for _ in range(self.cycles + 1)
+            ]
+            sim.set_input_schedule(
+                "lambda", lambda cycle: per_cycle[min(cycle, self.cycles)]
+            )
+        else:
+            sim.set_input_words("lambda", random_words(rng, batch, self.lambda_width))
+
     def run(
         self,
         sim: Simulator,
@@ -92,47 +146,59 @@ class ProtectedDesign:
         key: int,
         *,
         rng: np.random.Generator | int | None = None,
-    ) -> dict[str, np.ndarray]:
-        """Drive one batched encryption; returns output bit matrices.
+    ) -> "RunOutputs":
+        """Drive one batched encryption; returns its outputs.
 
-        ``plaintexts`` is one integer per run or a ``(batch, block)`` 0/1
-        matrix.  Randomness (λ and garbage words, as the design requires)
-        is drawn from ``rng``; λ in the dynamic variants is streamed fresh
-        every cycle via an input schedule, modelling the free-running TRNG.
-        Returns ``{"ciphertext": (batch, block) bits, "fault": (batch,) bits}``.
+        ``plaintexts`` and the randomness drawn from ``rng`` are as in
+        :meth:`drive`.  The result maps ``"ciphertext"`` to a
+        ``(batch, block)`` bit matrix and ``"fault"`` to ``(batch,)`` bits;
+        its ``ciphertext_rows`` hold the same words as byte rows, read
+        straight from the simulator's lanes (the bit matrix is unpacked
+        from them only when asked for).
         """
-        rng = make_rng(rng)
-        batch = sim.batch
-        sim.reset()
-        if isinstance(plaintexts, np.ndarray) and plaintexts.ndim == 2:
-            sim.set_input_bits("plaintext", plaintexts)
-        else:
-            sim.set_input_ints("plaintext", list(plaintexts))
-        sim.broadcast_input("key", key)
-        if "garbage" in self.circuit.inputs:
-            sim.set_input_bits(
-                "garbage", random_bits(rng, batch, self.spec.block_bits)
-            )
-        if self.lambda_width:
-            if self.dynamic_lambda:
-                # Pre-draw one λ word per cycle so runs stay reproducible.
-                per_cycle = [
-                    random_bits(rng, batch, self.lambda_width)
-                    for _ in range(self.cycles + 1)
-                ]
-                sim.set_input_schedule(
-                    "lambda", lambda cycle: per_cycle[min(cycle, self.cycles)]
-                )
-            else:
-                sim.set_input_bits(
-                    "lambda", random_bits(rng, batch, self.lambda_width)
-                )
+        self.drive(sim, plaintexts, key, make_rng(rng))
         sim.run(self.cycles)
         sim.eval_comb()
-        return {
-            "ciphertext": sim.get_output_bits("ciphertext"),
-            "fault": sim.get_output_bits("fault")[:, 0],
-        }
+        return RunOutputs(
+            sim.get_output_bytes("ciphertext"),
+            sim.get_output_bytes("fault")[:, 0],
+            self.spec.block_bits,
+        )
+
+
+class RunOutputs(Mapping):
+    """What one batched invocation released (:meth:`ProtectedDesign.run`).
+
+    ``ciphertext_rows`` are the released words as ``(batch, ceil(block/8))``
+    byte rows and ``fault`` the comparator verdict per run.  As a mapping it
+    reads ``{"ciphertext": (batch, block) bits, "fault": (batch,) bits}``;
+    the bit matrix is unpacked on first access.
+    """
+
+    def __init__(
+        self, ciphertext_rows: np.ndarray, fault: np.ndarray, block_bits: int
+    ) -> None:
+        self.ciphertext_rows = ciphertext_rows
+        self.fault = fault
+        self._block_bits = block_bits
+        self._ciphertext_bits: np.ndarray | None = None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name == "fault":
+            return self.fault
+        if name != "ciphertext":
+            raise KeyError(name)
+        if self._ciphertext_bits is None:
+            self._ciphertext_bits = bytes_to_bits(
+                self.ciphertext_rows, self._block_bits
+            )
+        return self._ciphertext_bits
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(("ciphertext", "fault"))
+
+    def __len__(self) -> int:
+        return 2
 
 
 def attach_comparator(

@@ -11,9 +11,7 @@ Every function returns plain data (dataclasses over numpy arrays) so the
 benchmarks can both print the paper-style artefact and assert its shape.
 """
 
-from repro.evaluation.figures import Figure4Data, Figure5Data, figure4, figure5
-from repro.evaluation.tables import Table2Row, Table3Row, table2, table3
-from repro.evaluation.report import render_histogram, render_table
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "Figure4Data",
@@ -27,3 +25,19 @@ __all__ = [
     "table2",
     "table3",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "figure4": "repro.evaluation.figures",
+        "Figure4Data": "repro.evaluation.figures",
+        "figure5": "repro.evaluation.figures",
+        "Figure5Data": "repro.evaluation.figures",
+        "render_histogram": "repro.evaluation.report",
+        "render_table": "repro.evaluation.report",
+        "table2": "repro.evaluation.tables",
+        "Table2Row": "repro.evaluation.tables",
+        "table3": "repro.evaluation.tables",
+        "Table3Row": "repro.evaluation.tables",
+    },
+)

@@ -6,11 +6,12 @@ per run, the fault location/type is fixed across runs.  Per run the
 campaign records the released word and the outcome classification; the
 ground truth comes from a fault-free reference pass over the same draw.
 
-Words stay packed from the simulator to the attack code: plaintexts,
-released and expected words are byte rows of shape
-``(runs, ceil(block / 8))`` (LSB-first, the layout of
-``np.packbits(bits, axis=1, bitorder="little")``), an eighth of a bit
-matrix.  Classification compares the byte rows directly; attacks select
+Words stay packed from the RNG draw to the attack code: plaintexts and
+the λ/garbage words are drawn straight into the simulator's packed lanes
+(:func:`repro.rng.random_words`), and plaintexts, released and expected
+words are kept as byte rows of shape ``(runs, ceil(block / 8))`` (LSB-first,
+the layout of ``np.packbits(bits, axis=1, bitorder="little")``), an eighth
+of a bit matrix.  Classification compares the byte rows directly; attacks select
 the runs they need and unpack only those.
 
 A :class:`RangeRun` owns one simulator for a run range: it draws the
@@ -39,7 +40,6 @@ into exactly the single-shot result.
 
 from __future__ import annotations
 
-import copy
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -51,9 +51,14 @@ from repro.faults.classification import Outcome, classify
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec
 from repro.netlist.simulator import Simulator
-from repro.rng import BlockedRng, derive_rng, random_bits
+from repro.rng import BlockedRng, derive_rng, random_words
 from repro.telemetry import trace
-from repro.utils.bits import bits_to_bytes, bytes_to_bits, bytes_to_ints
+from repro.utils.bits import (
+    bits_to_bytes,
+    bytes_to_bits,
+    bytes_to_ints,
+    words_to_bytes,
+)
 
 __all__ = ["CHUNK", "RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
 
@@ -62,7 +67,11 @@ __all__ = ["CHUNK", "RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
 RNG_BLOCK = 1024
 
 #: Default simulator batch (lanes) of a campaign chunk.  Bits never depend
-#: on it; 16,384 lanes keep both kernels' working set in cache.
+#: on it; it bounds simulator memory (three-in-one PRESENT-80's value
+#: matrix alone is 5.5 MiB at 16,384 lanes, so this is not a cache fit).
+#: Smaller chunks cost the levelized kernel time, whose per-group dispatch
+#: amortises over lanes (about 1.2-1.5x slower at 4,096 lanes on a 2-vCPU
+#: Xeon VM), while the compiled kernel is flat.
 CHUNK = 1 << 14
 
 
@@ -90,12 +99,14 @@ class RangeRun:
 
     Construction draws the range's plaintexts and fault-free randomness
     and runs the clean reference once on ``sim``; ``plaintext`` and
-    ``expected`` hold them as byte rows.  The generator is then
-    snapshotted, so every :meth:`faulted` pass starts its injector masks
-    and its own λ/garbage draws from exactly the state a fresh
-    two-simulator run of the range would reach after its clean pass: the
-    bits match that loop for every scenario, while the simulator is built
-    once and the reference simulated once.
+    ``expected`` hold them as byte rows.  The plaintexts stay packed rows
+    for the simulator, and both passes read their words out as byte rows,
+    so no ``(batch, block)`` bit matrix is built.  The generator's
+    per-block states are then recorded, so every :meth:`faulted` pass
+    starts its injector masks and its own λ/garbage draws from exactly the
+    state a fresh two-simulator run of the range would reach after its
+    clean pass: the bits match that loop for every scenario, while the
+    simulator is built once and the reference simulated once.
     """
 
     def __init__(
@@ -111,24 +122,23 @@ class RangeRun:
         self.sim = sim
         self.key = key
         rng = range_rng(seed, lo, lo + sim.batch)
-        plaintext_bits = random_bits(rng, sim.batch, design.spec.block_bits)
-        clean = design.run(sim, plaintext_bits, key, rng=rng)
-        self.plaintext = bits_to_bytes(plaintext_bits)
-        self.expected = bits_to_bytes(clean["ciphertext"])
-        self._after_clean = rng
+        self._plaintext_words = random_words(rng, sim.batch, design.spec.block_bits)
+        self.plaintext = words_to_bytes(self._plaintext_words, sim.batch)
+        clean = design.run(sim, self._plaintext_words, key, rng=rng)
+        self.expected = clean.ciphertext_rows
+        self._after_clean = rng.state()
 
     def faulted(self, specs: Sequence[FaultSpec]) -> tuple[np.ndarray, np.ndarray]:
         """One faulted pass under ``specs``: ``(released, fault_flags)``,
         the released words as byte rows."""
-        rng = copy.deepcopy(self._after_clean)
+        rng = BlockedRng.from_state(self._after_clean)
         sim = self.sim
-        plaintext_bits = bytes_to_bits(self.plaintext, self.design.spec.block_bits)
         sim.faults = FaultInjector(specs, sim.batch, rng=rng)
         try:
-            out = self.design.run(sim, plaintext_bits, self.key, rng=rng)
+            out = self.design.run(sim, self._plaintext_words, self.key, rng=rng)
         finally:
             sim.faults = None
-        return bits_to_bytes(out["ciphertext"]), out["fault"]
+        return out.ciphertext_rows, out.fault
 
 
 def run_range(

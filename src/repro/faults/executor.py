@@ -48,7 +48,9 @@ the fault space through it.
 
 The process pool uses ``concurrent.futures.ProcessPoolExecutor``; tasks
 that cannot be pickled (or ``jobs=1``) fall back to in-process serial
-execution with the same checkpoint/retry semantics.
+execution with the same checkpoint/retry semantics.  ``concurrent.futures``
+and ``multiprocessing`` are imported only when a pool starts, so a serial
+process never loads them.
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ import threading
 import time
 import traceback as traceback_module
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -547,6 +547,9 @@ class _Supervisor:
         pool.shutdown(wait=False, cancel_futures=True)
 
     def run_pool(self, pending: list[int]) -> None:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         cfg = self.config
         tele = {
             "capture": trace.enabled,

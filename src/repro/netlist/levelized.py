@@ -173,15 +173,17 @@ def faults_by_level(
 class LevelizedKernel:
     """Executes a :class:`LevelSchedule` over a packed value matrix.
 
-    One instance per simulator: it owns a scratch buffer sized
-    ``(max_group, n_words)`` so MUX intermediates never allocate inside
-    the cycle loop (the other cells compute in place on their gathered
-    operands).
+    One instance per simulator: it owns three scratch buffers sized
+    ``(max_group, n_words)`` that every group gathers its operands into and
+    computes on in place, so the cycle loop never allocates.
     """
 
     def __init__(self, schedule: LevelSchedule, n_words: int) -> None:
         self.schedule = schedule
-        self._gt = np.empty((max(schedule.max_group, 1), n_words), dtype=np.uint64)
+        rows = max(schedule.max_group, 1)
+        self._ga = np.empty((rows, n_words), dtype=np.uint64)
+        self._gb = np.empty((rows, n_words), dtype=np.uint64)
+        self._gt = np.empty((rows, n_words), dtype=np.uint64)
 
     def run(
         self, vals: np.ndarray, fault_map: Mapping[int, Transform] | None = None
@@ -201,11 +203,15 @@ class LevelizedKernel:
                     vals[net] = transform(vals[net])
 
     def _eval_group(self, group: LevelGroup, vals: np.ndarray) -> None:
-        # Plain fancy-index gathers measure faster than np.take(..., out=)
-        # here (small row counts, contiguous 512-byte rows); the ufuncs
-        # then write into the preallocated scratch rows in place.
+        # Operands are gathered into the preallocated scratch rows and the
+        # ufuncs compute in place there, so a cycle allocates nothing: at
+        # campaign batches a group's operands are hundreds of KiB, and a
+        # fresh array that size is a fresh mmap whose pages fault on first
+        # touch.  ``ndarray.take`` with ``mode="clip"`` writes straight into
+        # ``out`` (the default mode buffers) and skips ``np.take``'s Python
+        # wrapper, which at batch 64 costs more than the gather.
         n = len(group.out)
-        a = vals[group.a]
+        a = vals.take(group.a, 0, self._ga[:n], "clip")
         gtype = group.gtype
         if gtype is GateType.BUF:
             vals[group.out] = a
@@ -213,16 +219,16 @@ class LevelizedKernel:
         if gtype is GateType.NOT:
             vals[group.out] = np.bitwise_not(a, out=a)
             return
+        b = vals.take(group.b, 0, self._gb[:n], "clip")
         if gtype is GateType.MUX:
             # out = d0 ^ (sel & (d0 ^ d1)) — three ufuncs instead of the
             # four of (sel & d1) | (~sel & d0)
-            d0 = vals[group.b]
-            t = np.bitwise_xor(d0, vals[group.c], out=self._gt[:n])
+            t = vals.take(group.c, 0, self._gt[:n], "clip")
+            np.bitwise_xor(t, b, out=t)
             np.bitwise_and(t, a, out=t)
-            np.bitwise_xor(t, d0, out=t)
+            np.bitwise_xor(t, b, out=t)
             vals[group.out] = t
             return
-        b = vals[group.b]
         if gtype is GateType.XOR:
             t = np.bitwise_xor(a, b, out=a)
         elif gtype is GateType.AND:

@@ -40,7 +40,14 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.utils.bits import pack_bits, unpack_bits, words_for
+from repro.utils.bits import (
+    bytes_to_bits,
+    bytes_to_ints,
+    pack_bits,
+    unpack_bits,
+    words_for,
+    words_to_bytes,
+)
 
 __all__ = [
     "BACKENDS",
@@ -263,19 +270,29 @@ class Simulator:
 
     # --------------------------------------------------------------- inputs
 
-    def set_input_bits(self, name: str, bits: np.ndarray) -> None:
-        """Drive an input port from a ``(batch, width)`` 0/1 matrix."""
+    def set_input_words(self, name: str, words: np.ndarray) -> None:
+        """Drive an input port from ``(width, n_words)`` uint64 packed rows."""
         rows = self._port_rows.get(name)
         if rows is None:
             rows = self._net_rows(self._input_nets(name))
             self._port_rows[name] = rows
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (self.batch, len(rows)):
+        if words.shape != (len(rows), self.n_words):
             raise ValueError(
-                f"input {name!r} expects shape {(self.batch, len(rows))}, "
+                f"input {name!r} expects packed rows of shape "
+                f"{(len(rows), self.n_words)}, got {words.shape}"
+            )
+        self._vals[rows] = words
+
+    def set_input_bits(self, name: str, bits: np.ndarray) -> None:
+        """Drive an input port from a ``(batch, width)`` 0/1 matrix."""
+        width = len(self._input_nets(name))
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.shape != (self.batch, width):
+            raise ValueError(
+                f"input {name!r} expects shape {(self.batch, width)}, "
                 f"got {bits.shape}"
             )
-        self._vals[rows] = pack_bits(bits)
+        self.set_input_words(name, pack_bits(bits))
 
     def set_input_ints(self, name: str, values: Sequence[int]) -> None:
         """Drive an input port with one integer per run (LSB-first bits)."""
@@ -289,11 +306,13 @@ class Simulator:
     def set_input_schedule(self, name: str, provider) -> None:
         """Drive an input port with fresh values every clock cycle.
 
-        ``provider(cycle)`` must return a ``(batch, width)`` 0/1 matrix; it
-        is consulted at the start of each combinational evaluation.  This
-        models inputs fed by a free-running source — in this repository,
-        the TRNG streaming fresh λ bits to the per-round / per-S-box
-        countermeasure variants.
+        ``provider(cycle)`` returns either ``(width, n_words)`` uint64
+        packed rows (what :func:`repro.rng.random_words` draws; driven as
+        they are) or a ``(batch, width)`` 0/1 matrix of any other dtype
+        (packed first).  It is consulted at the start of each combinational
+        evaluation.  This models inputs fed by a free-running source — in
+        this repository, the TRNG streaming fresh λ bits to the per-round /
+        per-S-box countermeasure variants.
         """
         self._input_nets(name)  # validate the port exists
         self._schedules[name] = provider
@@ -335,7 +354,11 @@ class Simulator:
         corrupted value propagates exactly as a physical glitch would.
         """
         for name, provider in self._schedules.items():
-            self.set_input_bits(name, provider(self.cycle))
+            value = provider(self.cycle)
+            if value.dtype == np.uint64:
+                self.set_input_words(name, value)
+            else:
+                self.set_input_bits(name, value)
         vals = self._vals
         fault_map: Mapping[int, Transform] = (
             self.faults.for_cycle(self.cycle)
@@ -433,18 +456,25 @@ class Simulator:
         """Net values as a ``(batch, len(nets))`` 0/1 matrix."""
         return unpack_bits(self._vals[self._net_rows(nets)], self.batch)
 
+    def get_output_bytes(self, name: str) -> np.ndarray:
+        """Output port as ``(batch, ceil(width / 8))`` byte rows (LSB-first),
+        read out of the packed lanes without a bit matrix."""
+        rows = self._net_rows(self._output_nets(name))
+        return words_to_bytes(self._vals[rows], self.batch)
+
     def get_output_bits(self, name: str) -> np.ndarray:
         """Output port as a ``(batch, width)`` 0/1 matrix (LSB-first)."""
+        width = len(self._output_nets(name))
+        return bytes_to_bits(self.get_output_bytes(name), width)
+
+    def get_output_ints(self, name: str) -> list[int]:
+        """Output port as one integer per run."""
+        return bytes_to_ints(self.get_output_bytes(name))
+
+    def _output_nets(self, name: str) -> list[int]:
         try:
-            nets = self.circuit.outputs[name]
+            return self.circuit.outputs[name]
         except KeyError:
             raise KeyError(
                 f"no output port {name!r}; ports: {sorted(self.circuit.outputs)}"
             ) from None
-        return self.get_nets_bits(nets)
-
-    def get_output_ints(self, name: str) -> list[int]:
-        """Output port as one integer per run."""
-        from repro.utils.bits import bits_to_ints
-
-        return bits_to_ints(self.get_output_bits(name))

@@ -75,15 +75,14 @@ class WallBudgetExceeded(RuntimeError):
 def classify_error(exc: BaseException) -> ErrorKind:
     """Map an exception to its :class:`ErrorKind`.
 
-    Import-light by design: executor-local types are matched by name so
-    this module never imports the executor (which imports us).
+    Import-light by design: executor-local and pool types are matched by
+    name, so this module imports neither the executor (which imports us)
+    nor ``concurrent.futures`` (which a serial process never loads).
     """
-    from concurrent.futures.process import BrokenProcessPool
-
     name = type(exc).__name__
     if name == "ShardTimeout":
         return ErrorKind.TIMEOUT
-    if isinstance(exc, (ShardHang, BrokenProcessPool)):
+    if isinstance(exc, ShardHang) or name == "BrokenProcessPool":
         return ErrorKind.CRASH
     if isinstance(exc, ChaosError):
         return ErrorKind.TRANSIENT

@@ -19,6 +19,14 @@ off ``(seed, index)`` via ``numpy.random.SeedSequence`` spawn keys, and
 object whose batched draws split along the first axis — so a batch
 covering blocks ``[3, 4, 5]`` draws exactly what three separate
 single-block batches would.
+
+:func:`random_words` is the packed twin of :func:`random_bits`: it makes
+the same per-block draws and packs each block straight into the
+simulator's ``(width, n_words)`` lanes, so a campaign's inputs never exist
+as a one-byte-per-bit matrix.  :meth:`BlockedRng.state` and
+:meth:`BlockedRng.from_state` snapshot and rebuild a generator by its
+bit-generator states, which is how a certify shard replays its post-reference
+stream once per fault location.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ __all__ = [
     "make_rng",
     "random_bits",
     "random_ints",
+    "random_words",
 ]
 
 DEFAULT_SEED = 0x5C04E  # "SCONE", hex-safe spelling
@@ -89,6 +98,22 @@ class BlockedRng:
             )
         return [(n, *rest) if rest else n for n, _ in self._parts]
 
+    def state(self) -> list[tuple[int, dict]]:
+        """``(n_lanes, bit_generator.state)`` per block: a snapshot that
+        :meth:`from_state` turns back into a generator at this point of
+        every block's stream."""
+        return [(n, gen.bit_generator.state) for n, gen in self._parts]
+
+    @classmethod
+    def from_state(cls, state: Iterable[tuple[int, dict]]) -> "BlockedRng":
+        """A fresh generator continuing exactly where :meth:`state` was taken."""
+        parts = []
+        for n, doc in state:
+            bit_generator = getattr(np.random, doc["bit_generator"])(0)
+            bit_generator.state = doc
+            parts.append((n, np.random.Generator(bit_generator)))
+        return cls(parts)
+
     def integers(self, low, high=None, size=None, **kwargs) -> np.ndarray:
         parts = [
             gen.integers(low, high, size=s, **kwargs)
@@ -107,6 +132,33 @@ class BlockedRng:
 def random_bits(rng: np.random.Generator, batch: int, width: int) -> np.ndarray:
     """A ``(batch, width)`` uniform 0/1 matrix (one row per run)."""
     return rng.integers(0, 2, size=(batch, width), dtype=np.uint8)
+
+
+def random_words(rng: np.random.Generator, batch: int, width: int) -> np.ndarray:
+    """``pack_bits(random_bits(rng, batch, width))`` without the bit matrix.
+
+    Returns ``(width, words_for(batch))`` uint64 packed rows.  On a
+    :class:`BlockedRng` each block makes the same :func:`random_bits` call
+    as a whole-batch draw would and is packed into its own words, so the
+    bits are identical and the scratch matrix is one block.  Blocks that do
+    not start on a word boundary fall back to packing the whole draw.
+    """
+    from repro.utils.bits import pack_bits, words_for
+
+    if not isinstance(rng, BlockedRng):
+        return pack_bits(random_bits(rng, batch, width))
+    rng._sizes(batch)  # the draw must cover every lane
+    if any(n % 64 for n, _ in rng._parts[:-1]):
+        return pack_bits(
+            np.concatenate([random_bits(gen, n, width) for n, gen in rng._parts])
+        )
+    out = np.empty((width, words_for(batch)), dtype=np.uint64)
+    word = 0
+    for n, gen in rng._parts:
+        block = pack_bits(random_bits(gen, n, width))
+        out[:, word : word + block.shape[1]] = block
+        word += block.shape[1]
+    return out
 
 
 def random_ints(rng: np.random.Generator, batch: int, width: int) -> list[int]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.countermeasures.base import ProtectedDesign
 from repro.netlist.gates import GateType
-from repro.rng import make_rng, random_bits
+from repro.rng import make_rng
 
 __all__ = ["LeakageModel", "power_trace"]
 
@@ -44,34 +44,16 @@ def power_trace(
 
     ``lambdas`` optionally pins the λ input per run (for λ-leakage
     assessments); otherwise λ is drawn from ``rng`` like a normal
-    invocation.  Only static-λ designs support pinning.
+    invocation.  Only static-λ designs support pinning.  The inputs are
+    driven by :meth:`ProtectedDesign.drive`, the step every encryption
+    uses.
     """
-    rng = make_rng(rng)
     batch = len(plaintexts)
     sim = design.simulator(batch)
     if nets is None:
         nets = [g.out for g in design.circuit.dffs()]
     nets = list(nets)
-
-    sim.set_input_ints("plaintext", list(plaintexts))
-    sim.set_input_ints("key", [key] * batch)
-    if "garbage" in design.circuit.inputs:
-        sim.set_input_bits("garbage", random_bits(rng, batch, design.spec.block_bits))
-    if design.lambda_width:
-        if lambdas is not None:
-            if design.dynamic_lambda:
-                raise ValueError("λ pinning needs a static-λ design (prime/acisp)")
-            sim.set_input_ints("lambda", list(lambdas))
-        elif design.dynamic_lambda:
-            per_cycle = [
-                random_bits(rng, batch, design.lambda_width)
-                for _ in range(design.cycles + 1)
-            ]
-            sim.set_input_schedule(
-                "lambda", lambda cycle: per_cycle[min(cycle, design.cycles)]
-            )
-        else:
-            sim.set_input_bits("lambda", random_bits(rng, batch, design.lambda_width))
+    design.drive(sim, plaintexts, key, make_rng(rng), lambdas=lambdas)
 
     samples = np.zeros((batch, design.cycles), dtype=np.float64)
     previous = sim.get_nets_bits(nets).astype(np.int16)

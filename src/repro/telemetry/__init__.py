@@ -44,29 +44,19 @@ stdlib-only machinery and **zero overhead when disabled**:
     ``repro bench history`` / ``repro bench check``: every
     ``bench_report`` emission appends one JSONL line; the check compares
     each series' newest run against a rolling median ± MAD noise band.
+
+``trace`` and ``metrics`` are imported eagerly (their names are also the
+names of their modules, and every layer uses them); the progress,
+manifest and history names load on first use.
 """
 
-from repro.telemetry.history import (
-    append_entry,
-    check as bench_check,
-    config_digest,
-    load_history,
-    resolve_history_path,
-)
-from repro.telemetry.manifest import cpu_model, run_manifest
 from repro.telemetry.metrics import (
     MetricsRegistry,
     metrics,
     render_prometheus,
 )
-from repro.telemetry.progress import (
-    ProgressTracker,
-    clear_live,
-    eta_seconds,
-    live_progress,
-    publish_live,
-)
 from repro.telemetry.trace import Tracer, trace
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "MetricsRegistry",
@@ -87,3 +77,21 @@ __all__ = [
     "run_manifest",
     "trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "append_entry": "repro.telemetry.history",
+        "bench_check": "repro.telemetry.history:check",
+        "clear_live": "repro.telemetry.progress",
+        "config_digest": "repro.telemetry.history",
+        "cpu_model": "repro.telemetry.manifest",
+        "eta_seconds": "repro.telemetry.progress",
+        "live_progress": "repro.telemetry.progress",
+        "load_history": "repro.telemetry.history",
+        "ProgressTracker": "repro.telemetry.progress",
+        "publish_live": "repro.telemetry.progress",
+        "resolve_history_path": "repro.telemetry.history",
+        "run_manifest": "repro.telemetry.manifest",
+    },
+)

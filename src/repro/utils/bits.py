@@ -7,16 +7,21 @@ holds the net value for run ``64 * w + j``.
 
 Three layouts appear throughout the code base:
 
-- **bit matrix** — ``numpy`` array of shape ``(batch, width)`` and dtype
-  ``uint8`` with values in ``{0, 1}``; column ``i`` is bit ``i`` (LSB-first)
-  of a ``width``-bit port across the batch;
 - **packed rows** — ``numpy`` array of shape ``(width, n_words)`` and dtype
-  ``uint64``; row ``i`` is the packed batch vector for bit ``i``;
+  ``uint64``; row ``i`` is the packed batch vector for bit ``i``.  This is
+  the simulator's own layout, and campaign inputs are drawn straight into
+  it (:func:`repro.rng.random_words`);
 - **byte rows** — ``numpy`` array of shape ``(batch, ceil(width / 8))`` and
   dtype ``uint8``; row ``r`` is run ``r``'s word as little-endian bytes
   (bit ``i`` is bit ``i % 8`` of byte ``i // 8``).  Campaign results are
-  stored this way: 8× smaller than a bit matrix, and two rows are equal
-  exactly when their words are.
+  read out of the simulator this way (:func:`words_to_bytes`) and stored
+  this way: 8× smaller than a bit matrix, and two rows are equal exactly
+  when their words are;
+- **bit matrix** — ``numpy`` array of shape ``(batch, width)`` and dtype
+  ``uint8`` with values in ``{0, 1}``; column ``i`` is bit ``i`` (LSB-first)
+  of a ``width``-bit port across the batch.  It takes 8× the memory of the
+  other two, so it exists only at API edges (:meth:`Simulator.set_input_bits`,
+  ``ProtectedDesign.run``'s outputs, attack code reading a few runs).
 
 These helpers convert between Python integers and the three layouts.
 """
@@ -36,7 +41,12 @@ __all__ = [
     "pack_bits",
     "unpack_bits",
     "words_for",
+    "words_to_bytes",
 ]
+
+#: lanes :func:`words_to_bytes` converts per step; its scratch bit matrix
+#: is ``(width, WORDS_TO_BYTES_LANES)`` bytes whatever the batch
+WORDS_TO_BYTES_LANES = 1024
 
 
 def words_for(batch: int) -> int:
@@ -150,3 +160,26 @@ def unpack_bits(words: np.ndarray, batch: int) -> np.ndarray:
     as_bytes = words.view(np.uint8).reshape(width, n_words * 8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return bits[:, :batch].T.copy()
+
+
+def words_to_bytes(words: np.ndarray, batch: int) -> np.ndarray:
+    """Packed rows ``(width, n_words)`` to ``(batch, ceil(width / 8))`` byte rows.
+
+    Equal to ``bits_to_bytes(unpack_bits(words, batch))``, but the lanes are
+    transposed :data:`WORDS_TO_BYTES_LANES` at a time, so the
+    ``(batch, width)`` bit matrix never exists.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    if words.ndim != 2:
+        raise ValueError(f"expected 2-D packed rows, got shape {words.shape}")
+    width, n_words = words.shape
+    if batch > n_words * 64:
+        raise ValueError(f"batch {batch} exceeds capacity {n_words * 64}")
+    out = np.empty((batch, (width + 7) // 8), dtype=np.uint8)
+    step = WORDS_TO_BYTES_LANES // 64
+    for lo in range(0, batch, WORDS_TO_BYTES_LANES):
+        hi = min(batch, lo + WORDS_TO_BYTES_LANES)
+        block = np.ascontiguousarray(words[:, lo // 64 : lo // 64 + step])
+        bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+        out[lo:hi] = np.packbits(bits[:, : hi - lo], axis=0, bitorder="little").T
+    return out

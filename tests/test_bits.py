@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.bits import (
+    bits_to_bytes,
     bits_to_int,
     bits_to_ints,
     int_to_bits,
@@ -13,6 +14,7 @@ from repro.utils.bits import (
     pack_bits,
     unpack_bits,
     words_for,
+    words_to_bytes,
 )
 
 
@@ -120,3 +122,22 @@ class TestPacking:
         bits = rng.integers(0, 2, size=(batch, width), dtype=np.uint8)
         out = unpack_bits(pack_bits(bits), batch)
         assert (out == bits).all()
+
+
+class TestWordsToBytes:
+    """The blockwise packed-rows → byte-rows readout equals unpacking the
+    lanes into a bit matrix and packing its rows."""
+
+    @pytest.mark.parametrize("batch", [1, 63, 64, 1000, 16384])
+    @pytest.mark.parametrize("width", [1, 13, 64])
+    def test_equals_unpack_then_pack(self, batch, width):
+        rng = np.random.default_rng(batch * 100 + width)
+        words = rng.integers(0, 2**64, size=(width, words_for(batch)), dtype=np.uint64)
+        got = words_to_bytes(words, batch)
+        assert got.shape == (batch, (width + 7) // 8)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, bits_to_bytes(unpack_bits(words, batch)))
+
+    def test_rejects_oversized_batch(self):
+        with pytest.raises(ValueError):
+            words_to_bytes(np.zeros((3, 1), dtype=np.uint64), 65)

@@ -1,11 +1,14 @@
 """Packed campaign results: memory, layout and compatibility.
 
-Campaign words stay byte rows ``(runs, ceil(block / 8))`` from the
-simulator to the attack code.  These tests bound a campaign's traced peak
-below what its words alone would take unpacked, pin the ``*_bits`` views to
-``np.unpackbits`` of the stored rows, and check that archives and
-checkpoints written with the old bit-matrix keys are handled: archives are
-packed on load, checkpoints refuse to resume.
+Campaign words stay packed from the RNG draw to the attack code: packed
+rows into the simulator, byte rows ``(runs, ceil(block / 8))`` out of it.
+These tests bound a campaign's traced peak below what its words alone
+would take unpacked, bound one :class:`RangeRun` pass above its simulator
+below what a single ``(lanes, block)`` bit matrix of its words costs on top
+of the byte rows it keeps, pin the ``*_bits`` views to ``np.unpackbits`` of
+the stored rows, and check that archives and checkpoints written with the
+old bit-matrix keys are handled: archives are packed on load, checkpoints
+refuse to resume.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.ciphers.netlist_present import PresentSpec
-from repro.countermeasures import build_naive_duplication
+from repro.countermeasures import build_naive_duplication, build_three_in_one
 from repro.faults import (
     RNG_BLOCK,
     CampaignResult,
@@ -27,10 +30,10 @@ from repro.faults import (
     last_round,
     run_campaign,
 )
-from repro.faults.campaign import CHUNK
+from repro.faults.campaign import CHUNK, RangeRun
 from repro.faults.classification import classify
 from repro.faults.executor import campaign_identity
-from repro.faults.models import sbox_input_net
+from repro.faults.models import last_round, sbox_input_net
 from tests.conftest import TEST_KEY80
 
 LEGACY_KEYS = ("plaintext_bits", "released_bits", "expected_bits", "fault_flags")
@@ -71,6 +74,41 @@ def test_campaign_peak_stays_below_its_unpacked_words(design, specs, backend):
     # three (runs, block) uint8 matrices: plaintexts, released, expected
     unpacked_words = 3 * n_runs * design.spec.block_bits
     assert peak < unpacked_words, f"traced peak {peak / 1e6:.1f} MB"
+
+
+#: traced bytes one RangeRun pass may allocate above its simulator.  A
+#: pass that builds one (lanes, block) uint8 bit matrix at either simulator
+#: edge takes about 3.1 MiB on the design below; packed draws and byte-row
+#: readout take under 0.9 MiB on either kernel.
+RANGE_PASS_BUDGET = int(2.5 * 2**20)
+
+
+@pytest.mark.parametrize("backend", ["levelized", "compiled"])
+def test_range_run_passes_build_no_bit_matrix(backend):
+    design = build_three_in_one(PresentSpec(rounds=3))
+    core = design.cores[0]
+    specs = [
+        FaultSpec.at(
+            sbox_input_net(core, 5, 1), FaultType.BIT_FLIP, last_round(core),
+            probability=0.5,
+        )
+    ]
+    sim = design.simulator(CHUNK, backend=backend)
+    RangeRun(design, sim, key=TEST_KEY80, seed=3, lo=0).faulted(specs)  # warm up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = RangeRun(design, sim, key=TEST_KEY80, seed=3, lo=0)
+        clean = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        released, flags = run.faulted(specs)
+        faulted = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert released.shape == (CHUNK, 8) and flags.any()
+    assert clean < RANGE_PASS_BUDGET, f"clean pass {clean / 2**20:.2f} MiB"
+    assert faulted < RANGE_PASS_BUDGET, f"faulted pass {faulted / 2**20:.2f} MiB"
 
 
 def test_bits_views_unpack_the_stored_rows(result):
