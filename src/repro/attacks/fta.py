@@ -165,11 +165,6 @@ class FtaResult:
         """Unique best candidate and it is the true S-box input."""
         return self.candidates == [self.true_x]
 
-    @property
-    def ambiguity(self) -> int:
-        """Size of the best-scoring candidate set (1 = pinned down)."""
-        return len(self.candidates)
-
 
 def fta_attack(
     design: ProtectedDesign,

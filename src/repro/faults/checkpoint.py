@@ -54,7 +54,10 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+#: Bumped whenever shard contents from the same parameters would change:
+#: 2 = a fault on an input or constant lasts only its cycle (version 1
+#: shards kept it for the rest of the run).
+MANIFEST_VERSION = 2
 
 #: Array keys persisted per shard, in digest order.  The words are byte
 #: rows (:mod:`repro.utils.bits`); checkpoints written when shards held bit
@@ -278,7 +281,3 @@ class CheckpointStore:
         record.error_kind = kind
         record.attempts = attempts
         self.flush()
-
-    def mark_failed(self, index: int, error: str, attempts: int) -> None:
-        """Back-compat alias for :meth:`mark_quarantined`."""
-        self.mark_quarantined(index, error, attempts)

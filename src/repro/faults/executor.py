@@ -99,6 +99,10 @@ ShardHook = Callable[[int, int], None]
 ShardTask = Callable[[int, int], dict[str, np.ndarray]]
 
 
+#: fraction of jitter on the retry backoff (thundering-herd damping)
+BACKOFF_JITTER = 0.25
+
+
 class ShardTimeout(RuntimeError):
     """A shard exceeded its wall-clock budget."""
 
@@ -124,8 +128,6 @@ class ExecutorConfig:
     retries: int = 2
     #: base of the exponential backoff between attempts (seconds)
     backoff: float = 0.5
-    #: fraction of jitter on the backoff (thundering-herd damping)
-    jitter: float = 0.25
     #: supervisor poll interval for the pool heartbeat (seconds)
     heartbeat: float = 0.5
     #: supervisor-side per-shard deadline after which a worker is declared
@@ -484,10 +486,10 @@ class _Supervisor:
         """
         cfg = self.config
         base = cfg.backoff * (2 ** (self.attempts[index] - 1))
-        if cfg.jitter <= 0 or base <= 0:
+        if base <= 0:
             return base
         frac = ((index * 2654435761 + self.attempts[index] * 40503) % 1000) / 1000
-        return base * (1.0 + cfg.jitter * frac)
+        return base * (1.0 + BACKOFF_JITTER * frac)
 
     def _ingest(self, payload: dict | None) -> None:
         """Fold a worker shard's captured telemetry into this process."""

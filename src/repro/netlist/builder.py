@@ -125,13 +125,6 @@ class CircuitBuilder:
         self._check_same_width(d0, d1)
         return [self.mux(sel, x, y, tag=tag) for x, y in zip(d0, d1)]
 
-    def dff_word(self, d: Sequence[int], *, init: int = 0, tag: str = "") -> Word:
-        """A register over a word; ``init`` is the power-on integer value."""
-        return [
-            self.dff(bit, init=(init >> i) & 1, tag=f"{tag}[{i}]" if tag else "")
-            for i, bit in enumerate(d)
-        ]
-
     def register(
         self, width: int, *, init: int = 0, tag: str = ""
     ) -> tuple[Word, "Callable[[Sequence[int]], None]"]:

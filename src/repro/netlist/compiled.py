@@ -466,16 +466,13 @@ class CompiledKernel:
             self.vals.take(self.program.dff_d_rows, 0, self._dff_buf, "clip")
             np.copyto(self._q_view, self._dff_buf)
 
-    def run(
-        self, vals: np.ndarray, fault_map: Mapping[int, Transform] | None = None
-    ) -> None:
+    def run(self, fault_map: Mapping[int, Transform]) -> None:
         """Evaluate every level, applying ``fault_map`` gate-output transforms.
 
-        ``vals`` is accepted for kernel-interface symmetry and must be this
-        kernel's own matrix.  The fault-free path is the fused generated
-        program; with faults the same per-level functions run split, each
-        level's transforms replayed in reference program order — the exact
-        discipline of the levelized kernel, on permuted rows.
+        The fault-free path is the fused generated program; with faults the
+        same per-level functions run split, each level's transforms
+        replayed in reference program order — the exact discipline of the
+        levelized kernel, on permuted rows.
         """
         if fault_map:
             faulted = faults_by_level(self.program.schedule, fault_map)

@@ -171,29 +171,34 @@ def faults_by_level(
 
 
 class LevelizedKernel:
-    """Executes a :class:`LevelSchedule` over a packed value matrix.
+    """Executes a circuit's :class:`LevelSchedule` over its own value matrix.
 
-    One instance per simulator: it owns three scratch buffers sized
-    ``(max_group, n_words)`` that every group gathers its operands into and
-    computes on in place, so the cycle loop never allocates.
+    One instance per simulator: it owns the ``(num_nets, n_words)`` value
+    matrix :attr:`vals` (rows are net ids, so :attr:`row_of` is the
+    identity) and three scratch buffers sized ``(max_group, n_words)`` that
+    every group gathers its operands into and computes on in place, so the
+    cycle loop never allocates.
     """
 
-    def __init__(self, schedule: LevelSchedule, n_words: int) -> None:
-        self.schedule = schedule
-        rows = max(schedule.max_group, 1)
+    def __init__(self, circuit: Circuit, n_words: int) -> None:
+        self.schedule = compile_schedule(circuit)
+        self.row_of = np.arange(circuit.num_nets, dtype=np.intp)
+        self.vals = np.zeros((circuit.num_nets, n_words), dtype=np.uint64)
+        dffs = circuit.dffs()
+        self._dff_d = np.array([g.ins[0] for g in dffs], dtype=np.intp)
+        self._dff_q = np.array([g.out for g in dffs], dtype=np.intp)
+        rows = max(self.schedule.max_group, 1)
         self._ga = np.empty((rows, n_words), dtype=np.uint64)
         self._gb = np.empty((rows, n_words), dtype=np.uint64)
         self._gt = np.empty((rows, n_words), dtype=np.uint64)
 
-    def run(
-        self, vals: np.ndarray, fault_map: Mapping[int, Transform] | None = None
-    ) -> None:
+    def run(self, fault_map: Mapping[int, Transform]) -> None:
         """Evaluate every level in order, applying ``fault_map`` transforms.
 
-        Source-net transforms are the caller's job (the simulator applies
-        them before the program runs, same as the reference path); this
-        method handles the gate-output transforms.
+        Source-net transforms are the simulator's job; this method handles
+        the gate-output transforms, replayed after each level.
         """
+        vals = self.vals
         faulted = faults_by_level(self.schedule, fault_map) if fault_map else None
         for level, groups in enumerate(self.schedule.groups):
             for group in groups:
@@ -201,6 +206,11 @@ class LevelizedKernel:
             if faulted:
                 for _, net, transform in faulted.get(level, ()):
                     vals[net] = transform(vals[net])
+
+    def latch(self) -> None:
+        """Clock every DFF: Q <- D."""
+        if len(self._dff_q):
+            self.vals[self._dff_q] = self.vals[self._dff_d]
 
     def _eval_group(self, group: LevelGroup, vals: np.ndarray) -> None:
         # Operands are gathered into the preallocated scratch rows and the

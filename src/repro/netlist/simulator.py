@@ -11,23 +11,24 @@ provider* maps a clock cycle to ``{net: transform}`` entries, and the
 simulator applies each transform to the net's packed value at the moment the
 net is produced (source nets at the start of the cycle, gate outputs right
 after evaluation).  This mirrors VerFI's semantics: the corrupted value is
-seen by the entire fanout, including flip-flop D pins, within that cycle.
+seen by the entire fanout, including flip-flop D pins, within that cycle,
+and a fault on a primary input or constant lasts only for that cycle.
 
-Three interchangeable evaluation kernels implement those semantics: the
-per-gate *reference* interpreter in this module (the executable spec),
-the levelized opcode-batched kernel of :mod:`repro.netlist.levelized`
-(the fast default), and the ahead-of-time generated-code kernel of
-:mod:`repro.netlist.compiled` (the fastest), selectable via
-``Simulator(..., backend=...)`` or the ``REPRO_SIM_BACKEND`` environment
-variable.  They are bit-exact against each other — enforced by the
-three-way differential property suite in
+Three interchangeable evaluation kernels implement those semantics behind
+one contract (:class:`Kernel`): the per-gate :class:`ReferenceKernel` in
+this module (the executable spec), the levelized opcode-batched kernel of
+:mod:`repro.netlist.levelized` (the fast default), and the ahead-of-time
+generated-code kernel of :mod:`repro.netlist.compiled` (the fastest),
+selectable via ``Simulator(..., backend=...)`` or the ``REPRO_SIM_BACKEND``
+environment variable.  They are bit-exact against each other — enforced by
+the three-way differential property suite in
 ``tests/test_simulator_equivalence.py``.
 
-The compiled kernel stores net values in a program-order *permutation* of
-the net ids (so group outputs are contiguous and scatters vanish); the
-simulator therefore routes every net-indexed access — ports, faults,
-readout — through the active kernel's row map, keeping net ids the only
-externally visible addressing scheme for all backends.
+Each kernel owns its value matrix and a net→row map (the compiled kernel
+stores rows in a program-order *permutation* of the net ids, so group
+outputs are contiguous and scatters vanish); the simulator routes every
+net-indexed access — ports, faults, readout — through that map, keeping
+net ids the only externally visible addressing scheme for all backends.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.netlist.levelized import LevelizedKernel
 from repro.utils.bits import (
     bytes_to_bits,
     bytes_to_ints,
@@ -53,20 +55,23 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "FaultProvider",
+    "Kernel",
+    "ReferenceKernel",
     "Simulator",
     "resolve_backend",
 ]
 
 Transform = Callable[[np.ndarray], np.ndarray]
 
-#: selectable evaluation kernels: the per-gate reference interpreter (the
-#: semantic oracle), the levelized opcode-batched kernel (the fast path),
-#: and the AOT-generated straight-line kernel (the fastest path)
+#: selectable evaluation kernels: the levelized opcode-batched kernel (the
+#: fast path), the AOT-generated straight-line kernel (the fastest path)
+#: and the per-gate reference interpreter (the semantic oracle)
 BACKENDS = ("levelized", "compiled", "reference")
 
 #: default backend; overridable process-wide via ``REPRO_SIM_BACKEND``
 DEFAULT_BACKEND = "levelized"
 
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 #: shared empty fault map for fault-free cycles — keeps the steady-state
 #: loop literally allocation-free (asserted in tests/test_compiled_kernel.py)
@@ -102,27 +107,89 @@ class FaultProvider(Protocol):
         ...  # pragma: no cover - protocol
 
 
-# opcode table: compact ints so the hot loop dispatches on an if-chain
-_OP_BUF = 0
-_OP_NOT = 1
-_OP_AND = 2
-_OP_OR = 3
-_OP_NAND = 4
-_OP_NOR = 5
-_OP_XOR = 6
-_OP_XNOR = 7
-_OP_MUX = 8
+class Kernel(Protocol):
+    """The contract every backend implements for :class:`Simulator`.
 
-_OPCODE: dict[GateType, int] = {
-    GateType.BUF: _OP_BUF,
-    GateType.NOT: _OP_NOT,
-    GateType.AND: _OP_AND,
-    GateType.OR: _OP_OR,
-    GateType.NAND: _OP_NAND,
-    GateType.NOR: _OP_NOR,
-    GateType.XOR: _OP_XOR,
-    GateType.XNOR: _OP_XNOR,
-    GateType.MUX: _OP_MUX,
+    ``vals`` is the ``(num_nets, n_words)`` uint64 value matrix and
+    ``row_of`` maps each net id to its row in it (a permutation of the net
+    ids).  :meth:`run` evaluates every combinational gate, applying the
+    transform ``fault_map`` holds for a gate's output net right after that
+    gate, and :meth:`latch` clocks every DFF (Q ← D).  Source nets are the
+    simulator's: kernels never write input, constant or DFF-output rows
+    except through :meth:`latch`.
+    """
+
+    vals: np.ndarray
+    row_of: np.ndarray
+
+    def run(self, fault_map: Mapping[int, Transform]) -> None:
+        ...  # pragma: no cover - protocol
+
+    def latch(self) -> None:
+        ...  # pragma: no cover - protocol
+
+
+class ReferenceKernel:
+    """The per-gate interpreter: the executable definition of the semantics.
+
+    One numpy op per gate per cycle, in topological order, with each gate's
+    output transform applied the moment the gate is evaluated.  Slow by
+    design and the oracle the fast kernels are differentially tested
+    against.  Rows are net ids.
+    """
+
+    def __init__(self, circuit: Circuit, n_words: int) -> None:
+        self.gates = circuit.topo_order()
+        self.row_of = np.arange(circuit.num_nets, dtype=np.intp)
+        self.vals = np.zeros((circuit.num_nets, n_words), dtype=np.uint64)
+        dffs = circuit.dffs()
+        self._dff_d = np.array([g.ins[0] for g in dffs], dtype=np.intp)
+        self._dff_q = np.array([g.out for g in dffs], dtype=np.intp)
+
+    def run(self, fault_map: Mapping[int, Transform]) -> None:
+        vals = self.vals
+        for gate in self.gates:
+            gtype, ins, out = gate.gtype, gate.ins, gate.out
+            a = vals[ins[0]]
+            if gtype is GateType.MUX:  # (sel, d0, d1); the commonest cell
+                vals[out] = (a & vals[ins[2]]) | (~a & vals[ins[1]])
+            elif gtype is GateType.XOR:
+                np.bitwise_xor(a, vals[ins[1]], out=vals[out])
+            elif gtype is GateType.AND:
+                np.bitwise_and(a, vals[ins[1]], out=vals[out])
+            elif gtype is GateType.OR:
+                np.bitwise_or(a, vals[ins[1]], out=vals[out])
+            elif gtype is GateType.NOT:
+                np.bitwise_not(a, out=vals[out])
+            elif gtype is GateType.XNOR:
+                np.bitwise_not(a ^ vals[ins[1]], out=vals[out])
+            elif gtype is GateType.NAND:
+                np.bitwise_not(a & vals[ins[1]], out=vals[out])
+            elif gtype is GateType.NOR:
+                np.bitwise_not(a | vals[ins[1]], out=vals[out])
+            else:  # BUF
+                vals[out] = a
+            transform = fault_map.get(out)
+            if transform is not None:
+                vals[out] = transform(vals[out])
+
+    def latch(self) -> None:
+        if len(self._dff_q):
+            self.vals[self._dff_q] = self.vals[self._dff_d]
+
+
+def _compiled_kernel(circuit: Circuit, n_words: int) -> Kernel:
+    # imported on first use, so processes that never select it skip the import
+    from repro.netlist.compiled import CompiledKernel, compile_program
+
+    return CompiledKernel(compile_program(circuit), n_words)
+
+
+#: backend -> kernel factory ``(circuit, n_words)``
+_KERNELS: dict[str, Callable[[Circuit, int], Kernel]] = {
+    "levelized": LevelizedKernel,
+    "compiled": _compiled_kernel,
+    "reference": ReferenceKernel,
 }
 
 
@@ -132,8 +199,8 @@ class Simulator:
     Parameters
     ----------
     circuit:
-        The netlist to simulate.  It is compiled (topologically ordered and
-        lowered to an opcode program) once, at construction.
+        The netlist to simulate.  The chosen kernel prepares it once, at
+        construction (levelized and compiled cache that per circuit).
     batch:
         Number of independent runs evaluated in parallel.
     faults:
@@ -145,11 +212,14 @@ class Simulator:
         ``"compiled"`` runs the ahead-of-time generated straight-line
         kernel (:mod:`repro.netlist.compiled`), the fastest path at
         campaign batch sizes; ``"reference"`` uses the per-gate
-        interpreter below, which is the executable definition of the
-        simulation semantics and the oracle the fast kernels are
+        :class:`ReferenceKernel`, which is the executable definition of
+        the simulation semantics and the oracle the fast kernels are
         differentially tested against.  ``None`` honours the
         ``REPRO_SIM_BACKEND`` environment variable.  All backends are
-        bit-exact for every net, batch size and fault map.
+        bit-exact for every net, batch size and fault map: the simulator
+        drives each through the one :class:`Kernel` contract (the instance
+        is :attr:`kernel`), so ports, readout and source-net faults have a
+        single implementation.
 
     Fault-ordering contract (shared by all backends)
     ------------------------------------------------
@@ -158,7 +228,11 @@ class Simulator:
 
     1. input schedules (:meth:`set_input_schedule`) drive their ports;
     2. fault transforms on *source* nets (primary inputs, constants, DFF
-       outputs) are applied to the scheduled/latched values;
+       outputs) are applied to the driven/latched values.  A transformed
+       input or constant row is restored to its driven value at the start
+       of the next evaluation (or by the next port write or :meth:`reset`),
+       so a fault on it lasts exactly its cycle and a repeated evaluation
+       of the same cycle applies it once;
     3. gates evaluate in program order, and a faulted gate output's
        transform is applied the moment that gate's value is produced —
        before any consumer reads it — so multiple faults along one path
@@ -193,65 +267,31 @@ class Simulator:
         self.backend = resolve_backend(backend)
         self.cycle = 0
 
-        # opcode program: (op, out, in0, in1, in2) — the reference
-        # interpreter's representation; the fast kernels compile their own
-        self._program: list[tuple[int, int, int, int, int]] = []
-        if self.backend == "reference":
-            for gate in circuit.topo_order():
-                op = _OPCODE[gate.gtype]
-                a = gate.ins[0]
-                b = gate.ins[1] if len(gate.ins) > 1 else 0
-                c = gate.ins[2] if len(gate.ins) > 2 else 0
-                self._program.append((op, gate.out, a, b, c))
+        self.kernel = _KERNELS[self.backend](circuit, self.n_words)
+        self._vals = self.kernel.vals
+        row_of = self._row_of = self.kernel.row_of
 
-        dffs = circuit.dffs()
-        self._dff_d = np.array([g.ins[0] for g in dffs], dtype=np.intp)
-        self._dff_q = np.array([g.out for g in dffs], dtype=np.intp)
-        self._dff_init = np.array([g.init for g in dffs], dtype=np.uint64)
-        self._const0_nets = [
-            g.out for g in circuit.gates if g.gtype is GateType.CONST0
-        ]
-        self._const1_nets = [
-            g.out for g in circuit.gates if g.gtype is GateType.CONST1
-        ]
-        self._source_nets = sorted(
-            set(self._const0_nets)
-            | set(self._const1_nets)
-            | {g.out for g in circuit.gates if g.gtype is GateType.INPUT}
-            | set(int(q) for q in self._dff_q)
-        )
-
-        # The active kernel, and the net-id -> matrix-row map when the
-        # kernel permutes storage (None = identity, rows are net ids).
-        self._kernel = None
-        self._compiled = None
-        self._row_of: np.ndarray | None = None
+        # (net, row, holds) per source net, in net order (the order their
+        # transforms apply in); ``holds`` marks inputs and constants, whose
+        # rows keep their value across cycles (DFF rows are rewritten by
+        # every latch)
+        self._sources: list[tuple[int, int, bool]] = []
+        ones: list[int] = []  # nets that power on all-ones
+        for g in circuit.gates:
+            if g.gtype is GateType.DFF:
+                self._sources.append((g.out, int(row_of[g.out]), False))
+                if g.init:
+                    ones.append(g.out)
+            elif not g.gtype.is_combinational:
+                self._sources.append((g.out, int(row_of[g.out]), True))
+                if g.gtype is GateType.CONST1:
+                    ones.append(g.out)
+        self._sources.sort()
+        self._ones_rows = self._net_rows(ones)
+        # (row, driven value) of input/constant rows the last evaluation
+        # transformed (contract step 2)
+        self._faulted_sources: list[tuple[int, np.ndarray]] = []
         self._port_rows: dict[str, np.ndarray] = {}
-        if self.backend == "levelized":
-            from repro.netlist.levelized import LevelizedKernel, compile_schedule
-
-            self._kernel = LevelizedKernel(compile_schedule(circuit), self.n_words)
-            self._vals = np.zeros((circuit.num_nets, self.n_words), dtype=np.uint64)
-        elif self.backend == "compiled":
-            from repro.netlist.compiled import CompiledKernel, compile_program
-
-            self._compiled = CompiledKernel(compile_program(circuit), self.n_words)
-            self._kernel = self._compiled
-            self._row_of = self._compiled.row_of
-            # adopt the kernel's program-order matrix as the value store
-            self._vals = self._compiled.vals
-        else:
-            self._vals = np.zeros((circuit.num_nets, self.n_words), dtype=np.uint64)
-
-        if self._row_of is None:
-            self._dff_q_rows = self._dff_q
-            self._const1_rows = np.array(self._const1_nets, dtype=np.intp)
-        else:
-            self._dff_q_rows = self._row_of[self._dff_q]
-            self._const1_rows = self._row_of[
-                np.array(self._const1_nets, dtype=np.intp)
-            ]
-
         self._schedules: dict[str, object] = {}
         self.reset()
 
@@ -260,13 +300,15 @@ class Simulator:
     def reset(self) -> None:
         """Return to power-on state: cycle 0, DFFs at init, inputs cleared."""
         self.cycle = 0
+        self._faulted_sources.clear()
         self._vals.fill(0)
-        ones = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-        for row in self._const1_rows:
-            self._vals[row].fill(ones)
-        if len(self._dff_q):
-            init_rows = np.where(self._dff_init[:, None].astype(bool), ones, 0)
-            self._vals[self._dff_q_rows] = init_rows.astype(np.uint64)
+        self._vals[self._ones_rows] = _ONES
+
+    def _restore_sources(self) -> None:
+        """Undo the last evaluation's transforms on input/constant rows."""
+        for row, driven in self._faulted_sources:
+            self._vals[row] = driven
+        self._faulted_sources.clear()
 
     # --------------------------------------------------------------- inputs
 
@@ -281,6 +323,7 @@ class Simulator:
                 f"input {name!r} expects packed rows of shape "
                 f"{(len(rows), self.n_words)}, got {words.shape}"
             )
+        self._restore_sources()
         self._vals[rows] = words
 
     def set_input_bits(self, name: str, bits: np.ndarray) -> None:
@@ -323,12 +366,9 @@ class Simulator:
 
     def broadcast_input(self, name: str, value: int) -> None:
         """Drive an input port with the same integer in every lane."""
-        nets = self._input_nets(name)
-        ones = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-        row_of = self._row_of
-        for i, net in enumerate(nets):
-            row = net if row_of is None else row_of[net]
-            self._vals[row].fill(ones if (value >> i) & 1 else 0)
+        self._restore_sources()
+        for i, row in enumerate(self._net_rows(self._input_nets(name))):
+            self._vals[row].fill(_ONES if (value >> i) & 1 else 0)
 
     def _input_nets(self, name: str) -> list[int]:
         try:
@@ -340,8 +380,7 @@ class Simulator:
 
     def _net_rows(self, nets: Sequence[int]) -> np.ndarray:
         """Matrix rows for the given net ids under the active kernel."""
-        idx = np.array(list(nets), dtype=np.intp)
-        return idx if self._row_of is None else self._row_of[idx]
+        return self._row_of[np.array(list(nets), dtype=np.intp)]
 
     # ------------------------------------------------------------ evaluation
 
@@ -349,92 +388,36 @@ class Simulator:
         """Evaluate the combinational program for the current cycle.
 
         Follows the fault-ordering contract in the class docstring: input
-        schedules first, then source-net transforms, then the program
-        with gate-output transforms applied in program order, so the
-        corrupted value propagates exactly as a physical glitch would.
+        schedules first, then source-net transforms, then the kernel with
+        gate-output transforms applied in program order, so the corrupted
+        value propagates exactly as a physical glitch would.
         """
+        self._restore_sources()
         for name, provider in self._schedules.items():
             value = provider(self.cycle)
             if value.dtype == np.uint64:
                 self.set_input_words(name, value)
             else:
                 self.set_input_bits(name, value)
-        vals = self._vals
         fault_map: Mapping[int, Transform] = (
             self.faults.for_cycle(self.cycle)
             if self.faults is not None
             else _NO_FAULTS
         )
         if fault_map:
-            row_of = self._row_of
-            for net in self._source_nets:
+            vals = self._vals
+            for net, row, holds in self._sources:
                 transform = fault_map.get(net)
                 if transform is not None:
-                    row = net if row_of is None else row_of[net]
+                    if holds:
+                        self._faulted_sources.append((row, vals[row].copy()))
                     vals[row] = transform(vals[row])
-        if self._kernel is not None:
-            self._kernel.run(vals, fault_map if fault_map else None)
-        elif fault_map:
-            self._run_program_faulty(fault_map)
-        else:
-            self._run_program_clean()
-
-    def _run_program_clean(self) -> None:
-        vals = self._vals
-        for op, out, a, b, c in self._program:
-            if op == _OP_XOR:
-                np.bitwise_xor(vals[a], vals[b], out=vals[out])
-            elif op == _OP_AND:
-                np.bitwise_and(vals[a], vals[b], out=vals[out])
-            elif op == _OP_OR:
-                np.bitwise_or(vals[a], vals[b], out=vals[out])
-            elif op == _OP_NOT:
-                np.bitwise_not(vals[a], out=vals[out])
-            elif op == _OP_XNOR:
-                np.bitwise_not(vals[a] ^ vals[b], out=vals[out])
-            elif op == _OP_NAND:
-                np.bitwise_not(vals[a] & vals[b], out=vals[out])
-            elif op == _OP_NOR:
-                np.bitwise_not(vals[a] | vals[b], out=vals[out])
-            elif op == _OP_MUX:
-                sel = vals[a]
-                vals[out] = (sel & vals[c]) | (~sel & vals[b])
-            else:  # _OP_BUF
-                vals[out] = vals[a]
-
-    def _run_program_faulty(self, fault_map: Mapping[int, Transform]) -> None:
-        vals = self._vals
-        for op, out, a, b, c in self._program:
-            if op == _OP_XOR:
-                np.bitwise_xor(vals[a], vals[b], out=vals[out])
-            elif op == _OP_AND:
-                np.bitwise_and(vals[a], vals[b], out=vals[out])
-            elif op == _OP_OR:
-                np.bitwise_or(vals[a], vals[b], out=vals[out])
-            elif op == _OP_NOT:
-                np.bitwise_not(vals[a], out=vals[out])
-            elif op == _OP_XNOR:
-                np.bitwise_not(vals[a] ^ vals[b], out=vals[out])
-            elif op == _OP_NAND:
-                np.bitwise_not(vals[a] & vals[b], out=vals[out])
-            elif op == _OP_NOR:
-                np.bitwise_not(vals[a] | vals[b], out=vals[out])
-            elif op == _OP_MUX:
-                sel = vals[a]
-                vals[out] = (sel & vals[c]) | (~sel & vals[b])
-            else:  # _OP_BUF
-                vals[out] = vals[a]
-            transform = fault_map.get(out)
-            if transform is not None:
-                vals[out] = transform(vals[out])
+        self.kernel.run(fault_map)
 
     def step(self) -> None:
         """One full clock cycle: evaluate logic, then latch every DFF."""
         self.eval_comb()
-        if self._compiled is not None:
-            self._compiled.latch()
-        elif len(self._dff_q):
-            self._vals[self._dff_q] = self._vals[self._dff_d]
+        self.kernel.latch()
         self.cycle += 1
 
     def run(self, cycles: int) -> None:

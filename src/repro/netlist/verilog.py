@@ -29,10 +29,6 @@ _PRIMITIVES = {
 }
 
 
-def _net_name(net: int) -> str:
-    return f"n{net}"
-
-
 def to_verilog(circuit: Circuit, *, module_name: str | None = None) -> str:
     """Render the circuit as flat structural Verilog.
 

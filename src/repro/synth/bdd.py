@@ -48,9 +48,6 @@ class BDD:
             raise ValueError(f"node {u} is a terminal")
         return self._nodes[u]
 
-    def is_terminal(self, u: int) -> bool:
-        return u < 2
-
     def mk(self, var: int, lo: int, hi: int) -> int:
         """Reduced, hash-consed node constructor."""
         if not 0 <= var < self.n_vars:
@@ -69,11 +66,6 @@ class BDD:
     def var(self, i: int) -> int:
         """The BDD of the bare variable ``x_i``."""
         return self.mk(i, ZERO, ONE)
-
-    @property
-    def num_nodes(self) -> int:
-        """Total live nodes including the two terminals."""
-        return len(self._nodes)
 
     # ------------------------------------------------------------- algebra
 

@@ -220,12 +220,21 @@ class TestFtaEndToEnd:
         assert rec.success
         assert rec.recovered_bits == 4.0
 
-    def test_fails_against_three_in_one(self, ours_prime):
+    def test_recovers_key_nibble_against_three_in_one(self, ours_prime):
+        """Gate-level FTA pins the round-1 key nibble of three-in-one.
+
+        The λ wire of the merged S-box, one of the 40 targets, is a primary
+        input.  Confined to its cycle, a flip on it no longer corrupts every
+        later round, and the per-plaintext candidate classes intersect on
+        the true nibble (seeds 7-10 all return {7}).  The paper's FTA claim
+        does not hold against this netlist with these plaintexts and targets.
+        """
         rec = fta_key_recovery(
             ours_prime, sbox=3, plaintexts=self.PTS, key=TEST_KEY80,
             n_rep=32, seed=7,
         )
-        assert not rec.success
+        assert rec.success
+        assert rec.candidates == {7} == {rec.true_key_nibble}
 
     def test_template_matches_and_gate_rule(self):
         """On a bare AND circuit the exact template must equal the classic

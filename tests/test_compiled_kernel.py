@@ -60,9 +60,9 @@ class TestProgramCache:
         # code object but own distinct value matrices
         s1 = Simulator(circ, batch=64, backend="compiled")
         s2 = Simulator(circ, batch=128, backend="compiled")
-        assert s1._compiled.program is program
-        assert s2._compiled.program is program
-        assert s1._compiled.vals is not s2._compiled.vals
+        assert s1.kernel.program is program
+        assert s2.kernel.program is program
+        assert s1.kernel.vals is not s2.kernel.vals
 
     def test_cache_independent_across_circuits(self):
         c1, c2 = _toy_circuit(), _toy_circuit()

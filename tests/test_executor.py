@@ -27,6 +27,7 @@ from repro.faults import (
 )
 from repro.faults.checkpoint import CheckpointStore, shard_digest
 from repro.faults.models import sbox_input_net
+from repro.resilience.persist import sha256_bytes
 from tests.conftest import TEST_KEY80
 
 N_RUNS = 2 * RNG_BLOCK + RNG_BLOCK // 2  # 2.5 shards at shard_runs=RNG_BLOCK
@@ -343,7 +344,7 @@ class TestCheckpointIntegrity:
         ck = tmp_path / "ck"
         self._checkpointed(naive_design, present_spec, ck)
         raw = json.loads((ck / "manifest.json").read_text())
-        assert raw["version"] == 1
+        assert raw["version"] == 2
         assert raw["campaign"]["seed"] == SEED
         assert raw["campaign"]["n_runs"] == N_RUNS
         assert len(raw["shards"]) == 3
@@ -352,6 +353,26 @@ class TestCheckpointIntegrity:
         for index, record in store.shards.items():
             arrays = store.read_shard(index)
             assert shard_digest(arrays) == record.digest
+
+    def test_manifest_from_older_semantics_is_refused_on_resume(
+        self, naive_design, present_spec, tmp_path
+    ):
+        """Version 1 shards were simulated with source-net faults that
+        outlived their cycle; resuming must refuse them, not merge them."""
+        ck = tmp_path / "ck"
+        self._checkpointed(naive_design, present_spec, ck)
+        path = ck / "manifest.json"
+        raw = json.loads(path.read_text())
+        raw.pop("checksum")
+        raw["version"] = 1
+        raw["checksum"] = sha256_bytes(json.dumps(raw, sort_keys=True).encode())
+        path.write_text(json.dumps(raw))
+        fault = _fault(naive_design, present_spec)
+        with pytest.raises(CheckpointError, match="manifest version 1"):
+            run_campaign(
+                naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+            )
 
 
 class TestDeadlineFallback:
