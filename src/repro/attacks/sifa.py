@@ -39,6 +39,7 @@ from repro.attacks.metrics import rank_of, sei
 from repro.ciphers.spn import SpnSpec
 from repro.faults.campaign import CampaignResult
 from repro.faults.classification import Outcome
+from repro.utils.bits import gather_bits
 
 __all__ = [
     "SifaBitRecovery",
@@ -62,11 +63,15 @@ def recover_sbox_inputs(
     ``x = S⁻¹(gather(C) ⊕ g)`` with the gather positions supplied by the
     spec (:meth:`CipherSpec.gather_positions`).
     """
+    cols = ciphertext_bits[:, spec.gather_positions(target_sbox)]
+    return _invert_sbox(spec, cols, subkey_guess)
+
+
+def _invert_sbox(spec: SpnSpec, cols: np.ndarray, subkey_guess: int) -> np.ndarray:
+    """``S⁻¹(y ⊕ g)`` per run, ``y`` given as its ``(runs, n)`` bits (LSB first)."""
     n = spec.sbox.n
-    positions = spec.gather_positions(target_sbox)
-    cols = ciphertext_bits[:, positions].astype(np.int64)
     weights = 1 << np.arange(n, dtype=np.int64)
-    y = (cols @ weights) ^ subkey_guess
+    y = (cols.astype(np.int64) @ weights) ^ subkey_guess
     inv = np.array([spec.sbox.inverse(v) for v in range(1 << n)], dtype=np.int64)
     return inv[y]
 
@@ -86,12 +91,12 @@ def ineffective_distribution(
     """The Fig. 4 series: S-box-input histogram over the ineffective set.
 
     Computed under the true key (this is the paper's *visualisation* of the
-    bias, not the key-recovery step).
+    bias, not the key-recovery step).  Only the target S-box's ciphertext
+    bits are read from the selected runs' byte rows.
     """
-    cts = result.unpack(result.released[result.select(outcome)])
-    x = recover_sbox_inputs(
-        spec, cts, target_sbox, true_subkey(spec, result.key, target_sbox)
-    )
+    rows = result.released[result.select(outcome)]
+    cols = gather_bits(rows, spec.gather_positions(target_sbox))
+    x = _invert_sbox(spec, cols, true_subkey(spec, result.key, target_sbox))
     return np.bincount(x, minlength=1 << spec.sbox.n)
 
 
@@ -178,7 +183,7 @@ def sifa_attack(
     if not hasattr(spec, "perm"):
         raise ValueError("sifa_attack needs a bit-permutation cipher (SpnSpec)")
     n = spec.sbox.n
-    cts = result.unpack(result.released[result.select(outcome)])
+    rows = result.released[result.select(outcome)]
     biases = predicted_conditional_bias(spec, faulted_bit, polarity)
 
     recoveries = []
@@ -186,8 +191,9 @@ def sifa_attack(
         pos = spec.perm[n * faulted_sbox + i]
         landing_sbox, landing_bit = divmod(pos, n)
         scores: dict[int, float] = {}
+        cols = gather_bits(rows, spec.gather_positions(landing_sbox))
         for guess in range(1 << n):
-            x = recover_sbox_inputs(spec, cts, landing_sbox, guess)
+            x = _invert_sbox(spec, cols, guess)
             bit = (x >> landing_bit) & 1
             scores[guess] = sei(bit, 2)
         truth = true_subkey(spec, result.key, landing_sbox)
@@ -206,6 +212,6 @@ def sifa_attack(
     return SifaResult(
         faulted_sbox=faulted_sbox,
         faulted_bit=faulted_bit,
-        n_samples=len(cts),
+        n_samples=len(rows),
         recoveries=recoveries,
     )

@@ -11,9 +11,11 @@ Every location's runs are runs ``[0, R)`` of the campaign keyed by the
 certificate's seed, so all locations share one plaintext/λ draw (common
 random numbers — differences between locations are never RNG noise) and
 therefore one fault-free reference.  Each shard builds one simulator,
-draws once and simulates the reference once
-(:class:`repro.faults.campaign.RangeRun`), then runs one faulted pass per
-location from a snapshot of the generator taken after the clean draws.
+draws once and computes the expected ciphertexts once with the cipher's
+packed software reference, never with the netlist under test
+(:class:`repro.faults.campaign.RangeRun`); the netlist is simulated only
+faulted, once per location, from a snapshot of the generator taken after
+the clean draws.
 
 Determinism: that snapshot makes each location's faulted pass consume
 exactly the draws ``run_range(lo=0, hi=R)`` gives it, so any witness
@@ -110,9 +112,10 @@ def _certify_task(
 ) -> dict[str, np.ndarray]:
     """Shard task: mini-campaign each of ``indices[lo:hi]``.
 
-    One simulator, one draw and one fault-free reference serve every
-    location of the shard; only the faulted pass runs per location, and
-    its released byte rows are classified against the reference's.
+    One simulator, one draw and one software reference serve every
+    location of the shard; only the faulted pass is simulated, once per
+    location, and its released byte rows are classified against the
+    reference's.
     """
     sel = np.asarray(indices[lo:hi], dtype=np.int64)
     counts = np.zeros((len(sel), len(Outcome)), dtype=np.int64)
@@ -369,9 +372,9 @@ def certify_design(
     # Uncovered-fault-space accounting: a partial sweep (quarantined
     # shards, exhausted wall budget, fail-fast stop) must say exactly what
     # it did NOT check — a degraded certificate is explicit, never silent.
-    uncovered = np.setdiff1d(
-        np.asarray(indices, dtype=np.int64), covered, assume_unique=False
-    )
+    is_covered = np.zeros(space.total, dtype=bool)
+    is_covered[covered] = True
+    uncovered = indices[~is_covered[indices]]
     uncovered_per_stratum: dict[str, int] = {}
     for i in uncovered:
         model, ftype, _cycle = space.stratum(int(i))

@@ -24,11 +24,15 @@ strings the reference implementation uses.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.ciphers.aes import AES128, AES_SBOX
+from repro.ciphers.aes_rows import encrypt_rows
 from repro.ciphers.spn import CipherSpec, SpnCore
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.circuit import Circuit
 from repro.synth.sbox_synth import synthesize_sbox
+from repro.utils.bits import words_to_bytes
 
 __all__ = ["AesSpec", "AesReference", "block_to_int", "int_to_block", "build_aes_circuit"]
 
@@ -124,6 +128,10 @@ class AesSpec(CipherSpec):
 
     def reference(self, key: int) -> AesReference:
         return AesReference(key, rounds=self.rounds)
+
+    def encrypt_packed(self, words: np.ndarray, key: int, batch: int) -> np.ndarray:
+        round_keys = np.array(self.reference(key).cipher.round_keys, dtype=np.uint8)
+        return encrypt_rows(words_to_bytes(words, batch), round_keys)
 
     # -- last-round structure (C = ShiftRows(S(x)) ⊕ K10) ----------------
 

@@ -11,6 +11,7 @@ words per round; everything else is shared with GIFT-64.
 from __future__ import annotations
 
 from repro.ciphers.gift import (
+    _CONSTANTS,
     GIFT64_PERM,
     GIFT128_PERM,
     ROUNDS,
@@ -80,13 +81,13 @@ class GiftSpec(SpnSpec):
     def reference(self, key: int) -> Gift64:
         return Gift64(key, rounds=self.rounds)
 
-    def final_round_mask(self, key: int) -> int:
-        """GIFT's last-round XOR: partial round key + constants + top bit."""
-        from repro.ciphers.gift import _CONSTANTS
-
+    def round_masks(self, key: int) -> list[int]:
+        """GIFT's round XORs: partial round key + constants + top bit."""
         cipher = self.reference(key)
-        u, v = cipher.round_keys[-1]
-        return cipher._round_key_mask(u, v, _CONSTANTS[cipher.rounds - 1])
+        return [
+            cipher._round_key_mask(u, v, constant)
+            for (u, v), constant in zip(cipher.round_keys, _CONSTANTS)
+        ]
 
     def build_scheduler(
         self, builder: CircuitBuilder, key_in: Word, first: int, tag: str

@@ -24,16 +24,29 @@ three-in-one countermeasure is made of:
 The returned :class:`SpnCore` records the S-box input/output nets per box —
 fault campaigns use these to aim at "the 2nd MSB input line of S-box 13",
 exactly how the paper describes its injections.
+
+Every spec also carries a *packed* software reference
+(:meth:`CipherSpec.encrypt_packed`): the simulator's ``(block, n_words)``
+plaintext lanes in, ciphertext byte rows out.  :class:`SpnSpec` implements
+it once for every S-box/bit-permutation cipher by bitslicing: the S-box
+layer is its algebraic normal form evaluated over whole lane words, the
+permutation one row gather, the round masks the spec's
+:meth:`SpnSpec.round_masks`.  Fault campaigns take their expected
+ciphertexts from it, so a fault-free netlist bug never agrees with itself.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.circuit import Circuit
 from repro.ciphers.sbox import SBox
+from repro.utils.bits import ints_to_bits, words_to_bytes
 
 __all__ = ["CipherSpec", "SpnSpec", "SpnCore", "build_spn_core"]
 
@@ -45,8 +58,8 @@ class CipherSpec(abc.ABC):
 
     :class:`SpnSpec` covers S-box/bit-permutation ciphers via the shared
     round template; ciphers with richer linear layers (AES's MixColumns)
-    implement :meth:`build_core` themselves — see
-    :class:`repro.ciphers.netlist_aes.AesSpec`.
+    implement :meth:`build_core` and :meth:`encrypt_packed` themselves —
+    see :class:`repro.ciphers.netlist_aes.AesSpec`.
     """
 
     name: str
@@ -77,6 +90,18 @@ class CipherSpec(abc.ABC):
 
     def reference(self, key: int):  # pragma: no cover - overridden where used
         """Spec-level oracle object with an ``encrypt`` method (tests)."""
+        raise NotImplementedError
+
+    def encrypt_packed(
+        self, words: np.ndarray, key: int, batch: int
+    ) -> np.ndarray:  # pragma: no cover - overridden where used
+        """Encrypt ``batch`` packed plaintext lanes under ``key``.
+
+        ``words`` is ``(block_bits, n_words)`` uint64 packed rows (the
+        simulator's input layout); the result is the ciphertexts as
+        ``(batch, ceil(block_bits / 8))`` byte rows, equal to
+        ``reference(key).encrypt`` run by run.
+        """
         raise NotImplementedError
 
     # -- last-round structure (shared by the SIFA/DFA/PFA solvers) --------
@@ -137,23 +162,39 @@ class SpnSpec(CipherSpec):
         return [self.perm[n * target_sbox + i] for i in range(n)]
 
     def last_round_subkey(self, key: int, target_sbox: int) -> int:
-        mask = self.final_round_mask(key)
+        mask = self.round_masks(key)[-1]  # XORed after the last permutation
         value = 0
         for i, pos in enumerate(self.gather_positions(target_sbox)):
             value |= ((mask >> pos) & 1) << i
         return value
 
-    def final_round_mask(self, key: int) -> int:
-        """The block-wide XOR mask applied after the last permutation.
+    def round_masks(self, key: int) -> list[int]:
+        """Every block-wide XOR mask of one encryption, in order.
 
-        Whitened key-first ciphers (PRESENT) use the extra round key; GIFT
-        overrides this with its last partial round key plus constants.
+        One per round, plus the whitening key last when
+        ``final_whitening``; either way the last mask is the one XORed
+        after the last permutation.  The default reads
+        ``reference(key).round_keys`` (PRESENT's); GIFT overrides it with
+        its partial round keys plus constants.
         """
-        if not self.final_whitening:
-            raise NotImplementedError(
-                f"{self.name}: override final_round_mask for key-last ciphers"
-            )
-        return self.reference(key).round_keys[-1]
+        return list(self.reference(key).round_keys)
+
+    def encrypt_packed(self, words: np.ndarray, key: int, batch: int) -> np.ndarray:
+        perm_inv = np.argsort(self.perm)  # new state row p = S-layer row perm_inv[p]
+        # every round mask as a (block, 1) column of all-zero/all-one lane words
+        bits = ints_to_bits(self.round_masks(key), self.block_bits)
+        masks = (bits.astype(np.uint64) * np.uint64(2**64 - 1))[:, :, None]
+
+        state = np.ascontiguousarray(words, dtype=np.uint64)
+        for r in range(self.rounds):
+            if self.add_key_first:
+                state = state ^ masks[r]
+            state = _sbox_layer(state, self.sbox)[perm_inv]
+            if not self.add_key_first:
+                state ^= masks[r]
+        if self.final_whitening:
+            state ^= masks[self.rounds]
+        return words_to_bytes(state, batch)
 
     def build_core(
         self,
@@ -176,6 +217,57 @@ class SpnSpec(CipherSpec):
             dynamic_domain=dynamic_domain,
             tag=tag,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _bitsliced_sbox(table: tuple[int, ...], n: int):
+    """The S-box as straight-line bitsliced code: ``(ands, outputs)``.
+
+    Each output bit is the XOR of the monomials (input-bit masks) of its
+    algebraic normal form, read off the truth table by the Möbius
+    transform.  ``ands`` builds every monomial of degree two or more as
+    ``(m, lower, top_bit)``, lower monomials first; ``outputs[i]`` is
+    ``(monomials, invert)``, ``invert`` for a constant-1 term.
+    """
+    outputs = []
+    needed: set[int] = set()
+    for i in range(n):
+        f = [(y >> i) & 1 for y in table]
+        for b in range(n):
+            for x in range(1 << n):
+                if (x >> b) & 1:
+                    f[x] ^= f[x ^ (1 << b)]
+        monomials = tuple(m for m in range(1, 1 << n) if f[m])
+        outputs.append((monomials, bool(f[0])))
+        for m in monomials:
+            while m & (m - 1):  # m and its lower prefixes, down to one bit
+                needed.add(m)
+                m ^= 1 << (m.bit_length() - 1)
+    tops = {m: 1 << (m.bit_length() - 1) for m in sorted(needed)}
+    ands = tuple((m, m ^ top, top) for m, top in tops.items())
+    return ands, tuple(outputs)
+
+
+def _sbox_layer(state: np.ndarray, sbox: SBox) -> np.ndarray:
+    """Bitsliced S-box layer over ``(block, n_words)`` packed rows.
+
+    Row ``n * j + b`` is input bit ``b`` of S-box ``j``; all boxes are
+    evaluated together, one ``(n_sboxes, n_words)`` array per monomial.
+    """
+    ands, outputs = _bitsliced_sbox(tuple(sbox.table), sbox.n)
+    x = state.reshape(-1, sbox.n, state.shape[1])
+    mono = {1 << b: x[:, b] for b in range(sbox.n)}
+    for m, lower, top in ands:
+        mono[m] = mono[lower] & mono[top]
+    out = np.empty_like(x)
+    for i, (monomials, invert) in enumerate(outputs):
+        y = out[:, i]
+        np.copyto(y, mono[monomials[0]])
+        for m in monomials[1:]:
+            y ^= mono[m]
+        if invert:
+            np.invert(y, out=y)
+    return out.reshape(state.shape)
 
 
 @dataclass

@@ -88,6 +88,30 @@ class ProtectedDesign:
         """
         return Simulator(self.circuit, batch, faults=faults, backend=backend)
 
+    def draw(
+        self, rng: np.random.Generator, batch: int, *, pinned_lambda: bool = False
+    ) -> dict[str, np.ndarray | list[np.ndarray]]:
+        """The per-invocation randomness of one batched invocation.
+
+        Draws, packed from ``rng`` and in this order, the ``garbage`` word
+        (if the design has that port) and λ: one word for the static
+        variants, one per cycle (``cycles + 1`` words) for the dynamic ones,
+        nothing when ``pinned_lambda``.  Returns them by port name as
+        ``(width, n_words)`` uint64 rows (a list of them for dynamic λ).
+        """
+        drawn: dict[str, np.ndarray | list[np.ndarray]] = {}
+        if "garbage" in self.circuit.inputs:
+            drawn["garbage"] = random_words(rng, batch, self.spec.block_bits)
+        if self.lambda_width and not pinned_lambda:
+            if self.dynamic_lambda:
+                drawn["lambda"] = [
+                    random_words(rng, batch, self.lambda_width)
+                    for _ in range(self.cycles + 1)
+                ]
+            else:
+                drawn["lambda"] = random_words(rng, batch, self.lambda_width)
+        return drawn
+
     def drive(
         self,
         sim: Simulator,
@@ -101,13 +125,11 @@ class ProtectedDesign:
 
         ``plaintexts`` is ``(block, n_words)`` uint64 packed rows, a
         ``(batch, block)`` 0/1 matrix or one integer per run.  The key is
-        broadcast to every lane.  The garbage word and λ, as the design
-        requires, are drawn packed from ``rng`` in that order; λ in the
-        dynamic variants is one draw per cycle, streamed through an input
-        schedule that models the free-running TRNG.  ``lambdas`` pins λ
-        per run instead (static-λ designs only) and draws nothing for it.
+        broadcast to every lane.  The garbage word and λ come from
+        :meth:`draw`; λ in the dynamic variants is streamed through an
+        input schedule that models the free-running TRNG.  ``lambdas`` pins
+        λ per run instead (static-λ designs only) and draws nothing for it.
         """
-        batch = sim.batch
         sim.reset()
         if isinstance(plaintexts, np.ndarray) and plaintexts.ndim == 2:
             if plaintexts.dtype == np.uint64:
@@ -117,10 +139,9 @@ class ProtectedDesign:
         else:
             sim.set_input_ints("plaintext", list(plaintexts))
         sim.broadcast_input("key", key)
-        if "garbage" in self.circuit.inputs:
-            sim.set_input_words(
-                "garbage", random_words(rng, batch, self.spec.block_bits)
-            )
+        drawn = self.draw(rng, sim.batch, pinned_lambda=lambdas is not None)
+        if "garbage" in drawn:
+            sim.set_input_words("garbage", drawn["garbage"])
         if not self.lambda_width:
             return
         if lambdas is not None:
@@ -128,16 +149,12 @@ class ProtectedDesign:
                 raise ValueError("λ pinning needs a static-λ design (prime/acisp)")
             sim.set_input_ints("lambda", list(lambdas))
         elif self.dynamic_lambda:
-            # Pre-draw one λ word per cycle so runs stay reproducible.
-            per_cycle = [
-                random_words(rng, batch, self.lambda_width)
-                for _ in range(self.cycles + 1)
-            ]
+            per_cycle = drawn["lambda"]
             sim.set_input_schedule(
                 "lambda", lambda cycle: per_cycle[min(cycle, self.cycles)]
             )
         else:
-            sim.set_input_words("lambda", random_words(rng, batch, self.lambda_width))
+            sim.set_input_words("lambda", drawn["lambda"])
 
     def run(
         self,

@@ -4,7 +4,10 @@ One campaign = one design × one fault scenario × N randomised invocations:
 the key is fixed, the plaintext (and λ, for randomised schemes) is fresh
 per run, the fault location/type is fixed across runs.  Per run the
 campaign records the released word and the outcome classification; the
-ground truth comes from a fault-free reference pass over the same draw.
+ground truth is the cipher's packed software reference
+(:meth:`CipherSpec.encrypt_packed <repro.ciphers.spn.CipherSpec.encrypt_packed>`)
+over the same plaintexts, never the netlist under test, so a fault-free
+netlist bug cannot agree with itself.
 
 Words stay packed from the RNG draw to the attack code: plaintexts and
 the λ/garbage words are drawn straight into the simulator's packed lanes
@@ -15,11 +18,11 @@ of a bit matrix.  Classification compares the byte rows directly; attacks select
 the runs they need and unpack only those.
 
 A :class:`RangeRun` owns one simulator for a run range: it draws the
-range's plaintexts and fault-free randomness and runs the clean reference
+range's plaintexts and fault-free randomness and computes the reference
 once, then runs one faulted pass per fault scenario on the same simulator.
-Campaign chunks of :data:`CHUNK` lanes reuse one simulator per batch size;
-a certify shard shares one draw and one reference across all of its
-locations.
+The netlist is simulated only faulted.  Campaign chunks of :data:`CHUNK`
+lanes reuse one simulator per batch size; a certify shard shares one draw
+and one reference across all of its locations.
 
 Everything is vectorised: 80,000 runs of a ~5,000-gate protected design
 finish in a few seconds.
@@ -66,13 +69,15 @@ __all__ = ["CHUNK", "RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
 #: Chunk and shard boundaries are aligned to multiples of this.
 RNG_BLOCK = 1024
 
-#: Default simulator batch (lanes) of a campaign chunk.  Bits never depend
-#: on it; it bounds simulator memory (three-in-one PRESENT-80's value
-#: matrix alone is 5.5 MiB at 16,384 lanes, so this is not a cache fit).
+#: Default simulator batch (lanes) of a campaign chunk, equal to the
+#: executor's default shard so single-shot and sharded campaigns run one
+#: chunk size.  Bits never depend on it; it bounds simulator memory
+#: (three-in-one PRESENT-80's value matrix is 2.8 MiB at 8,192 lanes).
 #: Smaller chunks cost the levelized kernel time, whose per-group dispatch
-#: amortises over lanes (about 1.2-1.5x slower at 4,096 lanes on a 2-vCPU
-#: Xeon VM), while the compiled kernel is flat.
-CHUNK = 1 << 14
+#: amortises over lanes, while the compiled kernel is flat; computing the
+#: reference in software instead of simulating it more than pays for
+#: halving the chunk from 16,384 lanes.
+CHUNK = 1 << 13
 
 
 def range_rng(seed: int, lo: int, hi: int) -> BlockedRng:
@@ -97,16 +102,17 @@ def range_rng(seed: int, lo: int, hi: int) -> BlockedRng:
 class RangeRun:
     """Runs ``[lo, lo + sim.batch)`` of the campaign keyed by ``seed``.
 
-    Construction draws the range's plaintexts and fault-free randomness
-    and runs the clean reference once on ``sim``; ``plaintext`` and
-    ``expected`` hold them as byte rows.  The plaintexts stay packed rows
-    for the simulator, and both passes read their words out as byte rows,
-    so no ``(batch, block)`` bit matrix is built.  The generator's
-    per-block states are then recorded, so every :meth:`faulted` pass
-    starts its injector masks and its own λ/garbage draws from exactly the
-    state a fresh two-simulator run of the range would reach after its
-    clean pass: the bits match that loop for every scenario, while the
-    simulator is built once and the reference simulated once.
+    Construction simulates nothing.  It draws the range's plaintexts, makes
+    the garbage and λ draws a clean simulation would make
+    (:meth:`ProtectedDesign.draw`) and discards them; ``expected`` comes
+    from the cipher's packed software reference.  ``plaintext`` and ``expected`` are byte rows; the
+    plaintexts stay packed rows for the simulator, so no
+    ``(batch, block)`` bit matrix is built.  The generator's per-block
+    states are then recorded, so every :meth:`faulted` pass starts its
+    injector masks and its own λ/garbage draws from exactly the state a
+    fresh two-simulator run of the range would reach after its clean pass:
+    the bits match that loop for every scenario whose clean netlist output
+    equals the cipher's.
     """
 
     def __init__(
@@ -121,12 +127,15 @@ class RangeRun:
         self.design = design
         self.sim = sim
         self.key = key
-        rng = range_rng(seed, lo, lo + sim.batch)
-        self._plaintext_words = random_words(rng, sim.batch, design.spec.block_bits)
-        self.plaintext = words_to_bytes(self._plaintext_words, sim.batch)
-        clean = design.run(sim, self._plaintext_words, key, rng=rng)
-        self.expected = clean.ciphertext_rows
+        batch = sim.batch
+        rng = range_rng(seed, lo, lo + batch)
+        words = random_words(rng, batch, design.spec.block_bits)
+        self._plaintext_words = words
+        self.plaintext = words_to_bytes(words, batch)
+        design.draw(rng, batch)  # the clean pass's draws keep the stream in step
         self._after_clean = rng.state()
+        with trace.span("campaign.reference", cipher=design.spec.name, lanes=batch):
+            self.expected = design.spec.encrypt_packed(words, key, batch)
 
     def faulted(self, specs: Sequence[FaultSpec]) -> tuple[np.ndarray, np.ndarray]:
         """One faulted pass under ``specs``: ``(released, fault_flags)``,

@@ -36,6 +36,7 @@ __all__ = [
     "bits_to_ints",
     "bytes_to_bits",
     "bytes_to_ints",
+    "gather_bits",
     "int_to_bits",
     "ints_to_bits",
     "pack_bits",
@@ -120,6 +121,14 @@ def bytes_to_bits(rows: np.ndarray, width: int) -> np.ndarray:
     """Inverse of :func:`bits_to_bytes`: byte rows to a ``(batch, width)``
     bit matrix."""
     return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+
+def gather_bits(rows: np.ndarray, positions) -> np.ndarray:
+    """Bits ``positions`` of every byte row as a ``(runs, len(positions))``
+    bit matrix: ``bytes_to_bits(rows, width)[:, positions]`` without
+    unpacking the other bits."""
+    pos = np.asarray(positions, dtype=np.intp)
+    return (rows[:, pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
 
 
 def bytes_to_ints(rows: np.ndarray) -> list[int]:

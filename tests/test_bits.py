@@ -9,6 +9,7 @@ from repro.utils.bits import (
     bits_to_bytes,
     bits_to_int,
     bits_to_ints,
+    gather_bits,
     int_to_bits,
     ints_to_bits,
     pack_bits,
@@ -141,3 +142,15 @@ class TestWordsToBytes:
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
             words_to_bytes(np.zeros((3, 1), dtype=np.uint64), 65)
+
+
+class TestGatherBits:
+    @pytest.mark.parametrize("width", [4, 64, 128])
+    def test_equals_unpacked_columns(self, width):
+        rng = np.random.default_rng(width)
+        bits = rng.integers(0, 2, size=(300, width), dtype=np.uint8)
+        positions = [width - 1, 0, 3, width // 2, 3]
+        got = gather_bits(bits_to_bytes(bits), positions)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, bits[:, positions])
+        assert gather_bits(bits_to_bytes(bits[:0]), positions).shape == (0, 5)

@@ -4,8 +4,9 @@ The package ``__init__`` modules re-export lazily and the executor loads
 its process pool only when it starts one, so importing the certify entry
 points and the figure runners leaves the pool machinery, the other
 ciphers, the bench ledger, the area tables and the template attack
-unloaded.  Checked in a fresh interpreter, where nothing else has
-imported them first.
+unloaded; running a serial certify leaves ``numpy.ma`` unloaded too.
+Checked in a fresh interpreter, where nothing else has imported them
+first.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ NOT_IMPORTED = (
 )
 
 
-def _loaded_after(statements: str) -> list[str]:
+def _loaded_after(statements: str, modules=NOT_IMPORTED) -> list[str]:
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = src
     code = (
         f"{statements}\n"
         "import json, sys\n"
-        f"print(json.dumps([m for m in {list(NOT_IMPORTED)!r} if m in sys.modules]))"
+        f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -60,6 +61,18 @@ def _loaded_after(statements: str) -> list[str]:
 
 def test_entry_points_leave_unused_modules_unloaded():
     assert _loaded_after("\n".join(f"import {m}" for m in ENTRY_POINTS)) == []
+
+
+def test_serial_certify_leaves_numpy_ma_unloaded():
+    certify = (
+        "from repro.certify import CertifyConfig, certify_design\n"
+        "from repro.ciphers.netlist_present import PresentSpec\n"
+        "from repro.countermeasures.three_in_one import build_three_in_one\n"
+        "design = build_three_in_one(PresentSpec(rounds=3))\n"
+        "config = CertifyConfig(budget=64 * 16, runs_per_location=16)\n"
+        "assert certify_design(design, key=1, config=config).passed"
+    )
+    assert _loaded_after(certify, ("numpy.ma", *NOT_IMPORTED)) == []
 
 
 @pytest.mark.parametrize(
