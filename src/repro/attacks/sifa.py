@@ -68,11 +68,17 @@ def recover_sbox_inputs(
 
 
 def _invert_sbox(spec: SpnSpec, cols: np.ndarray, subkey_guess: int) -> np.ndarray:
-    """``S⁻¹(y ⊕ g)`` per run, ``y`` given as its ``(runs, n)`` bits (LSB first)."""
+    """``S⁻¹(y ⊕ g)`` per run, ``y`` given as its ``(runs, n)`` bits (LSB first).
+
+    The value is assembled in ``uint8`` from the ``uint8`` bits, so the
+    readout costs one byte per run, not a widened ``(runs, n)`` matrix.
+    """
     n = spec.sbox.n
-    weights = 1 << np.arange(n, dtype=np.int64)
-    y = (cols.astype(np.int64) @ weights) ^ subkey_guess
-    inv = np.array([spec.sbox.inverse(v) for v in range(1 << n)], dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.uint8)
+    y = np.full(len(cols), subkey_guess, dtype=np.uint8)
+    for i in range(n):
+        y ^= cols[:, i] << np.uint8(i)
+    inv = np.array([spec.sbox.inverse(v) for v in range(1 << n)], dtype=np.uint8)
     return inv[y]
 
 

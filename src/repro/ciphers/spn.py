@@ -180,21 +180,34 @@ class SpnSpec(CipherSpec):
         return list(self.reference(key).round_keys)
 
     def encrypt_packed(self, words: np.ndarray, key: int, batch: int) -> np.ndarray:
-        perm_inv = np.argsort(self.perm)  # new state row p = S-layer row perm_inv[p]
-        # every round mask as a (block, 1) column of all-zero/all-one lane words
+        n, n_sboxes = self.sbox.n, self.n_sboxes
+        n_words = words.shape[1]
+        # bit-major state: state[b, j] is input bit b of S-box j (row n*j + b)
+        state = np.ascontiguousarray(
+            np.asarray(words, dtype=np.uint64)
+            .reshape(n_sboxes, n, n_words)
+            .transpose(1, 0, 2)
+        )
+        # every round mask, bit-major, as all-zero/all-one lane words
         bits = ints_to_bits(self.round_masks(key), self.block_bits)
-        masks = (bits.astype(np.uint64) * np.uint64(2**64 - 1))[:, :, None]
+        bits = bits.reshape(-1, n_sboxes, n).transpose(0, 2, 1)
+        masks = (bits.astype(np.uint64) * np.uint64(2**64 - 1))[..., None]
 
-        state = np.ascontiguousarray(words, dtype=np.uint64)
+        ands, _ = _bitsliced_sbox(tuple(self.sbox.table), n)
+        sbox_out = np.empty_like(state)
+        products = np.empty((len(ands), n_sboxes, n_words), dtype=np.uint64)
+        perm = _bit_major_perm(tuple(self.perm), n)
+        rows = state.reshape(self.block_bits, n_words)
         for r in range(self.rounds):
             if self.add_key_first:
-                state = state ^ masks[r]
-            state = _sbox_layer(state, self.sbox)[perm_inv]
+                state ^= masks[r]
+            _sbox_layer(state, self.sbox, sbox_out, products)
+            np.take(sbox_out.reshape(rows.shape), perm, axis=0, out=rows, mode="clip")
             if not self.add_key_first:
                 state ^= masks[r]
         if self.final_whitening:
             state ^= masks[self.rounds]
-        return words_to_bytes(state, batch)
+        return words_to_bytes(state.transpose(1, 0, 2).reshape(rows.shape), batch)
 
     def build_core(
         self,
@@ -248,26 +261,41 @@ def _bitsliced_sbox(table: tuple[int, ...], n: int):
     return ands, tuple(outputs)
 
 
-def _sbox_layer(state: np.ndarray, sbox: SBox) -> np.ndarray:
-    """Bitsliced S-box layer over ``(block, n_words)`` packed rows.
+@functools.lru_cache(maxsize=None)
+def _bit_major_perm(perm: tuple[int, ...], n: int) -> np.ndarray:
+    """The bit permutation as a row map over bit-major state rows.
 
-    Row ``n * j + b`` is input bit ``b`` of S-box ``j``; all boxes are
-    evaluated together, one ``(n_sboxes, n_words)`` array per monomial.
+    Bit-major row ``b * n_sboxes + j`` is bit ``b`` of S-box ``j`` (state
+    row ``n * j + b``); entry ``f`` of the map is the bit-major row of the
+    S-layer output that the permutation moves to bit-major row ``f``.
+    """
+    row_of = np.arange(len(perm)).reshape(-1, n).T.ravel()  # bit-major → state row
+    source = np.argsort(perm)[row_of]  # state row perm moves there
+    index = np.argsort(row_of)[source]
+    index.setflags(write=False)
+    return index
+
+
+def _sbox_layer(
+    x: np.ndarray, sbox: SBox, out: np.ndarray, products: np.ndarray
+) -> None:
+    """Bitsliced S-box layer over bit-major rows into ``out``.
+
+    ``x`` and ``out`` are ``(n, n_sboxes, n_words)``: ``x[b]`` holds input
+    bit ``b`` of every S-box, so each monomial is one contiguous
+    ``(n_sboxes, n_words)`` slice and all boxes are evaluated together.
+    ``products`` receives the monomials of degree two or more.
     """
     ands, outputs = _bitsliced_sbox(tuple(sbox.table), sbox.n)
-    x = state.reshape(-1, sbox.n, state.shape[1])
-    mono = {1 << b: x[:, b] for b in range(sbox.n)}
-    for m, lower, top in ands:
-        mono[m] = mono[lower] & mono[top]
-    out = np.empty_like(x)
-    for i, (monomials, invert) in enumerate(outputs):
-        y = out[:, i]
+    mono = {1 << b: x[b] for b in range(sbox.n)}
+    for (m, lower, top), y in zip(ands, products):
+        mono[m] = np.bitwise_and(mono[lower], mono[top], out=y)
+    for y, (monomials, invert) in zip(out, outputs):
         np.copyto(y, mono[monomials[0]])
         for m in monomials[1:]:
             y ^= mono[m]
         if invert:
             np.invert(y, out=y)
-    return out.reshape(state.shape)
 
 
 @dataclass

@@ -178,7 +178,7 @@ class ProtectedDesign:
         sim.eval_comb()
         return RunOutputs(
             sim.get_output_bytes("ciphertext"),
-            sim.get_output_bytes("fault")[:, 0],
+            sim.get_output_bits("fault")[:, 0],
             self.spec.block_bits,
         )
 

@@ -24,8 +24,9 @@ The netlist is simulated only faulted.  Campaign chunks of :data:`CHUNK`
 lanes reuse one simulator per batch size; a certify shard shares one draw
 and one reference across all of its locations.
 
-Everything is vectorised: 80,000 runs of a ~5,000-gate protected design
-finish in a few seconds.
+Everything is vectorised: an 80,000-run Fig. 4 series of 31-round
+three-in-one PRESENT-80 (2,825 gates) takes about half a second on one
+core of a 2-vCPU Xeon VM.
 
 Determinism contract
 --------------------
@@ -69,15 +70,17 @@ __all__ = ["CHUNK", "RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
 #: Chunk and shard boundaries are aligned to multiples of this.
 RNG_BLOCK = 1024
 
-#: Default simulator batch (lanes) of a campaign chunk, equal to the
-#: executor's default shard so single-shot and sharded campaigns run one
-#: chunk size.  Bits never depend on it; it bounds simulator memory
-#: (three-in-one PRESENT-80's value matrix is 2.8 MiB at 8,192 lanes).
-#: Smaller chunks cost the levelized kernel time, whose per-group dispatch
-#: amortises over lanes, while the compiled kernel is flat; computing the
-#: reference in software instead of simulating it more than pays for
-#: halving the chunk from 16,384 lanes.
-CHUNK = 1 << 13
+#: Default simulator batch (lanes) of a campaign chunk; the executor's
+#: default shard (:attr:`ExecutorConfig.shard_runs
+#: <repro.faults.executor.ExecutorConfig.shard_runs>`) is two of them.
+#: Bits never depend on it; it bounds simulator memory (three-in-one
+#: PRESENT-80's value matrix is 1.4 MiB at 4,096 lanes).  Smaller chunks
+#: cost the levelized kernel time, whose per-group dispatch amortises over
+#: lanes, while the compiled kernel is flat; the per-chunk work outside
+#: the kernel (the bit-major software reference, the blockwise byte-row
+#: transposes) is cheap enough that halving the chunk from 8,192 lanes
+#: keeps the campaign's runs/s.
+CHUNK = 1 << 12
 
 
 def range_rng(seed: int, lo: int, hi: int) -> BlockedRng:

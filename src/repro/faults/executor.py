@@ -113,10 +113,12 @@ class ExecutorConfig:
 
     #: worker processes; 1 = in-process serial execution
     jobs: int = 1
-    #: runs per shard (rounded down to a multiple of ``RNG_BLOCK``)
+    #: runs per shard (rounded down to a multiple of ``RNG_BLOCK``): the
+    #: unit of IPC, checkpointing and retry, two default chunks
     shard_runs: int = 8192
-    #: simulator batch bound inside a shard, in lanes (memory knob, never
-    #: affects bits; see :data:`repro.faults.campaign.CHUNK`)
+    #: simulator batch bound inside a shard, in lanes; a shard runs as
+    #: ``ceil(shard_runs / chunk)`` chunks (memory knob, never affects
+    #: bits; see :data:`repro.faults.campaign.CHUNK`)
     chunk: int = CHUNK
     #: directory for the manifest + shard archives; None disables checkpoints
     checkpoint_dir: object = None

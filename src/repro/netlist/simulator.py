@@ -43,7 +43,6 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.netlist.levelized import LevelizedKernel
 from repro.utils.bits import (
-    bytes_to_bits,
     bytes_to_ints,
     pack_bits,
     unpack_bits,
@@ -447,8 +446,7 @@ class Simulator:
 
     def get_output_bits(self, name: str) -> np.ndarray:
         """Output port as a ``(batch, width)`` 0/1 matrix (LSB-first)."""
-        width = len(self._output_nets(name))
-        return bytes_to_bits(self.get_output_bytes(name), width)
+        return self.get_nets_bits(self._output_nets(name))
 
     def get_output_ints(self, name: str) -> list[int]:
         """Output port as one integer per run."""

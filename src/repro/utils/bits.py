@@ -45,9 +45,17 @@ __all__ = [
     "words_to_bytes",
 ]
 
-#: lanes :func:`words_to_bytes` converts per step; its scratch bit matrix
-#: is ``(width, WORDS_TO_BYTES_LANES)`` bytes whatever the batch
+#: lanes :func:`words_to_bytes` converts per step; its scratch is three
+#: ``(WORDS_TO_BYTES_LANES, ceil(width / 8))``-byte buffers whatever the batch
 WORDS_TO_BYTES_LANES = 1024
+
+#: ``(shift, mask)`` of the three delta swaps that transpose the 8×8 bit
+#: matrix held in one ``uint64`` (bit ``8r + c`` ↔ bit ``8c + r``)
+_TRANSPOSE_8X8 = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
 
 
 def words_for(batch: int) -> int:
@@ -174,21 +182,40 @@ def unpack_bits(words: np.ndarray, batch: int) -> np.ndarray:
 def words_to_bytes(words: np.ndarray, batch: int) -> np.ndarray:
     """Packed rows ``(width, n_words)`` to ``(batch, ceil(width / 8))`` byte rows.
 
-    Equal to ``bits_to_bytes(unpack_bits(words, batch))``, but the lanes are
-    transposed :data:`WORDS_TO_BYTES_LANES` at a time, so the
-    ``(batch, width)`` bit matrix never exists.
+    Equal to ``bits_to_bytes(unpack_bits(words, batch))``, computed as 8×8
+    bit-matrix transposes on ``uint64``: each word gathers one lane-byte
+    (8 lanes) of 8 consecutive rows, three delta swaps transpose it, and
+    its bytes are then those 8 lanes' output bytes.  The lanes are
+    transposed :data:`WORDS_TO_BYTES_LANES` at a time, so the scratch does
+    not grow with the batch.
     """
-    words = np.asarray(words, dtype=np.uint64)
+    words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != 2:
         raise ValueError(f"expected 2-D packed rows, got shape {words.shape}")
     width, n_words = words.shape
     if batch > n_words * 64:
         raise ValueError(f"batch {batch} exceeds capacity {n_words * 64}")
-    out = np.empty((batch, (width + 7) // 8), dtype=np.uint8)
+    n_bytes = (width + 7) // 8
+    out = np.empty((batch, n_bytes), dtype=np.uint8)
     step = WORDS_TO_BYTES_LANES // 64
+    # x[k, 8j + b] is lane-byte k of row 8j + b; rows past ``width`` stay 0
+    x = np.zeros((min(n_words, step) * 8, n_bytes * 8), dtype=np.uint8)
+    t = np.empty((len(x), n_bytes), dtype=np.uint64)
     for lo in range(0, batch, WORDS_TO_BYTES_LANES):
         hi = min(batch, lo + WORDS_TO_BYTES_LANES)
-        block = np.ascontiguousarray(words[:, lo // 64 : lo // 64 + step])
-        bits = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
-        out[lo:hi] = np.packbits(bits[:, : hi - lo], axis=0, bitorder="little").T
+        block = words[:, lo // 64 : lo // 64 + step].view(np.uint8)
+        xb, tb = x[: block.shape[1]], t[: block.shape[1]]
+        xb[:, :width] = block.T
+        xb[:, width:] = 0  # the previous block's transpose wrote here
+        w = xb.view(np.uint64)  # bit 8b + i of w[k, j]: row 8j + b, lane 8k + i
+        for shift, mask in _TRANSPOSE_8X8:
+            np.right_shift(w, shift, out=tb)
+            tb ^= w
+            tb &= mask
+            w ^= tb
+            tb <<= shift
+            w ^= tb
+        # now bit 8i + b of w[k, j]: byte j of lane 8k + i holds it as bit b
+        lanes = xb.reshape(len(xb), n_bytes, 8).transpose(0, 2, 1)
+        out[lo:hi] = lanes.reshape(-1, n_bytes)[: hi - lo]
     return out

@@ -1,11 +1,14 @@
 """Unit and property tests for the bit-packing helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.bits import (
+    WORDS_TO_BYTES_LANES,
     bits_to_bytes,
     bits_to_int,
     bits_to_ints,
@@ -126,12 +129,17 @@ class TestPacking:
 
 
 class TestWordsToBytes:
-    """The blockwise packed-rows → byte-rows readout equals unpacking the
-    lanes into a bit matrix and packing its rows."""
+    """The blockwise 8×8 bit-transpose readout of packed rows as byte rows
+    equals unpacking the lanes into a bit matrix and packing its rows."""
 
-    @pytest.mark.parametrize("batch", [1, 63, 64, 1000, 16384])
-    @pytest.mark.parametrize("width", [1, 13, 64])
+    #: lane counts around word, byte-block and chunk edges: 2,176 is the
+    #: last chunk of an 80,000-run campaign in 4,096-lane chunks
+    BATCHES = [1, 63, 64, 65, 1000, 1024, 1025, 2176, 4096, 8192, 16384]
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 13, 63, 64, 65, 128])
     def test_equals_unpack_then_pack(self, batch, width):
+        # every lane of every word is random, those at or beyond ``batch`` too
         rng = np.random.default_rng(batch * 100 + width)
         words = rng.integers(0, 2**64, size=(width, words_for(batch)), dtype=np.uint64)
         got = words_to_bytes(words, batch)
@@ -142,6 +150,24 @@ class TestWordsToBytes:
     def test_rejects_oversized_batch(self):
         with pytest.raises(ValueError):
             words_to_bytes(np.zeros((3, 1), dtype=np.uint64), 65)
+
+    def test_scratch_is_one_block(self):
+        """Above its output, the readout allocates one block's scratch
+        whatever the batch: the gathered lane-bytes, the swap temporary and
+        the reordered copy, each ``WORDS_TO_BYTES_LANES`` byte rows."""
+        width, batch = 64, 8192
+        words = np.random.default_rng(0).integers(
+            0, 2**64, size=(width, words_for(batch)), dtype=np.uint64
+        )
+        words_to_bytes(words, batch)  # warm up
+        tracemalloc.start()
+        try:
+            out = words_to_bytes(words, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = WORDS_TO_BYTES_LANES * out.shape[1]
+        assert peak <= out.nbytes + 4 * block, f"peak {peak} B, output {out.nbytes} B"
 
 
 class TestGatherBits:

@@ -3,11 +3,13 @@
 Campaign words stay packed from the RNG draw to the attack code: packed
 rows into the simulator, byte rows ``(runs, ceil(block / 8))`` out of it.
 These tests bound a campaign's traced peak below what its words alone
-would take unpacked, bound one :class:`RangeRun` pass above its simulator
-below what a single ``(lanes, block)`` bit matrix of its words costs on top
-of the byte rows it keeps, bound what building a :class:`RangeRun` (draws
-plus the software reference, no simulation) allocates, pin the ``*_bits``
-views to ``np.unpackbits`` of the stored rows, and check that archives and
+would take unpacked, bound the traced peak of a paper-scale Fig. 4 series
+(campaign, then SIFA readout) at the default chunk, bound one
+:class:`RangeRun` pass above its simulator below what a single
+``(lanes, block)`` bit matrix of its words costs on top of the byte rows it
+keeps, bound what building a :class:`RangeRun` (draws plus the software
+reference, no simulation) allocates, pin the ``*_bits`` views to
+``np.unpackbits`` of the stored rows, and check that archives and
 checkpoints written with the old bit-matrix keys are handled: archives are
 packed on load, checkpoints refuse to resume.
 """
@@ -19,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.attacks.sifa import ineffective_distribution
 from repro.ciphers.netlist_present import PresentSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
 from repro.faults import (
@@ -28,10 +31,11 @@ from repro.faults import (
     CheckpointStore,
     FaultSpec,
     FaultType,
+    Outcome,
     last_round,
     run_campaign,
 )
-from repro.faults.campaign import RangeRun
+from repro.faults.campaign import CHUNK, RangeRun
 from repro.faults.classification import classify
 from repro.faults.executor import campaign_identity
 from repro.faults.models import last_round, sbox_input_net
@@ -79,6 +83,45 @@ def test_campaign_peak_stays_below_its_unpacked_words(design, specs, backend):
     # three (runs, block) uint8 matrices: plaintexts, released, expected
     unpacked_words = 3 * n_runs * design.spec.block_bits
     assert peak < unpacked_words, f"traced peak {peak / 1e6:.1f} MB"
+
+
+#: traced bytes one 80,000-run Fig. 4 series of 31-round three-in-one
+#: PRESENT-80 may allocate.  At the default 4,096-lane chunk the campaign
+#: peaks at 4.2 MiB: 2.0 MiB of stored results, the 1.4 MiB value matrix,
+#: the 0.4 MiB gather scratch.  At 8,192-lane chunks it took 6.2 MiB.
+SERIES_BUDGET = 5 * 2**20
+
+#: traced bytes the series' SIFA readout may allocate above the stored
+#: results: 0.8 MiB in uint8, 2 MiB when the gathered bits widen to int64
+READOUT_BUDGET = int(1.25 * 2**20)
+
+
+@pytest.mark.parametrize("backend", ["levelized", "compiled"])
+def test_fig4_series_peak_at_the_default_chunk(backend):
+    spec = PresentSpec()
+    design = build_three_in_one(spec)
+    core = design.cores[0]
+    specs = [
+        FaultSpec.at(sbox_input_net(core, 13, 2), FaultType.STUCK_AT_0, last_round(core))
+    ]
+    n_runs = 80_000
+    assert n_runs > 2 * CHUNK
+    # build and compile outside the traced window
+    run_campaign(design, specs, n_runs=RNG_BLOCK, key=TEST_KEY80, backend=backend)
+    tracemalloc.start()
+    try:
+        result = run_campaign(
+            design, specs, n_runs=n_runs, key=TEST_KEY80, backend=backend
+        )
+        stored, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dist = ineffective_distribution(result, spec, 13)
+        readout = tracemalloc.get_traced_memory()[1] - stored
+    finally:
+        tracemalloc.stop()
+    assert dist.sum() == result.count(Outcome.INEFFECTIVE) > 0
+    assert peak < SERIES_BUDGET, f"campaign peak {peak / 2**20:.2f} MiB"
+    assert readout < READOUT_BUDGET, f"SIFA readout {readout / 2**20:.2f} MiB"
 
 
 #: traced bytes one RangeRun pass may allocate above its simulator.  A

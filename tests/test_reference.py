@@ -1,10 +1,12 @@
 """The packed cipher reference that campaigns take their expected words from.
 
 ``CipherSpec.encrypt_packed`` maps the simulator's packed plaintext lanes to
-ciphertext byte rows in software.  These tests hold it to each cipher's
-integer oracle (``spec.reference(key).encrypt``), hold every registered
-scheme × cipher netlist's fault-free output to it, and check that a
-campaign against a sabotaged netlist no longer agrees with itself.
+ciphertext byte rows in software (bitsliced over a bit-major state for
+every ``SpnSpec``).  These tests hold it to each cipher's integer oracle
+(``spec.reference(key).encrypt``) at full and partial campaign chunks,
+hold every registered scheme × cipher netlist's fault-free output to it,
+and check that a campaign against a sabotaged netlist no longer agrees
+with itself.
 """
 
 from __future__ import annotations
@@ -24,11 +26,16 @@ from repro.service.protocol import SCHEMES, build_design
 from repro.utils.bits import bytes_to_ints, ints_to_bits, pack_bits
 from tests.conftest import TEST_KEY80
 
-BATCHES = (1, 63, 64, 1000, 8192)
+#: 2,176 lanes is the last chunk of an 80,000-run campaign, 4,096 a full one
+BATCHES = (1, 63, 64, 1000, 2176, 4096, 8192)
 
-#: lanes of the largest batch checked against the integer oracle: a
-#: stride coprime to 64 visits every lane position of a word, plus the last
-SAMPLED_LANES = np.r_[np.arange(0, 8192, 67), 8191]
+
+def _sampled_lanes(batch: int) -> np.ndarray:
+    """Lanes of a large batch checked against the integer oracle: a stride
+    coprime to 64 visits every lane position of a word, plus the last."""
+    if batch <= 1000:
+        return np.arange(batch)
+    return np.r_[np.arange(0, batch, 67), batch - 1]
 
 
 def _key(spec, seed: int) -> int:
@@ -49,7 +56,7 @@ def test_packed_reference_equals_the_cipher(cipher, rounds, batch):
     rows = spec.encrypt_packed(words, key, batch)
     assert rows.shape == (batch, (spec.block_bits + 7) // 8)
     assert rows.dtype == np.uint8
-    lanes = SAMPLED_LANES if batch > 1000 else np.arange(batch)
+    lanes = _sampled_lanes(batch)
     oracle = spec.reference(key)
     got = bytes_to_ints(rows[lanes])
     assert got == [oracle.encrypt(plaintexts[i]) for i in lanes]
