@@ -12,7 +12,7 @@ from benchmarks.conftest import BENCH_KEY, bench_report, campaign_knobs, emit
 from repro.certify import CertifyConfig, certify_design, replay_witness
 from repro.ciphers.netlist_present import PresentSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
-from repro.faults import Outcome
+from repro.faults import ExecutorConfig, Outcome
 
 BUDGET = 50_000
 RUNS_PER_LOCATION = 64
@@ -21,36 +21,27 @@ ROUNDS = 8  # reduced-round instance: same per-round netlist, bench-sized sweep
 
 def run_certify():
     spec = PresentSpec(rounds=ROUNDS)
-    knobs = campaign_knobs("certify")
-    ours = certify_design(
-        build_three_in_one(spec),
-        key=BENCH_KEY,
-        config=CertifyConfig(
-            budget=BUDGET,
-            runs_per_location=RUNS_PER_LOCATION,
-            seed=11,
-            jobs=knobs["jobs"] or 1,
-            checkpoint_dir=(
-                knobs["checkpoint_dir"] / "ours" if knobs["checkpoint_dir"] else None
+    executor = campaign_knobs("certify")["executor"] or ExecutorConfig()
+
+    def certify(design, subdir, **config):
+        ex = executor.subdir(subdir)
+        return certify_design(
+            design,
+            key=BENCH_KEY,
+            config=CertifyConfig(
+                runs_per_location=RUNS_PER_LOCATION,
+                seed=11,
+                jobs=ex.jobs,
+                checkpoint_dir=ex.checkpoint_dir,
+                resume=ex.resume,
+                **config,
             ),
-            resume=knobs["resume"],
-        ),
-    )
+        )
+
+    ours = certify(build_three_in_one(spec), "ours", budget=BUDGET)
     naive_design = build_naive_duplication(spec)
-    naive = certify_design(
-        naive_design,
-        key=BENCH_KEY,
-        config=CertifyConfig(
-            budget=BUDGET // 8,
-            runs_per_location=RUNS_PER_LOCATION,
-            models=("identical_mask",),
-            seed=11,
-            jobs=knobs["jobs"] or 1,
-            checkpoint_dir=(
-                knobs["checkpoint_dir"] / "naive" if knobs["checkpoint_dir"] else None
-            ),
-            resume=knobs["resume"],
-        ),
+    naive = certify(
+        naive_design, "naive", budget=BUDGET // 8, models=("identical_mask",)
     )
     return ours, naive, naive_design
 

@@ -76,16 +76,25 @@ def bench_checkpoint_dir() -> str | None:
 
 
 def campaign_knobs(subdir: str) -> dict:
-    """Executor kwargs for a campaign-heavy benchmark (env-driven)."""
+    """Executor kwargs for a campaign-heavy benchmark (env-driven).
+
+    ``{"executor": None}`` runs in-process; otherwise the config runs the
+    campaigns on ``REPRO_JOBS`` workers and checkpoints (and resumes) them
+    under ``REPRO_CHECKPOINT_DIR/subdir``.
+    """
+    if (BENCH_JOBS or 1) == 1 and not BENCH_CHECKPOINT_DIR:
+        return {"executor": None}
+    from repro.faults.executor import ExecutorConfig
+
     ckpt = (
         pathlib.Path(BENCH_CHECKPOINT_DIR) / subdir
         if BENCH_CHECKPOINT_DIR
         else None
     )
     return {
-        "jobs": BENCH_JOBS,
-        "checkpoint_dir": ckpt,
-        "resume": ckpt is not None,
+        "executor": ExecutorConfig(
+            jobs=BENCH_JOBS or 1, checkpoint_dir=ckpt, resume=ckpt is not None
+        )
     }
 
 

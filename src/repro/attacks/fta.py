@@ -218,7 +218,6 @@ def fta_attack(
     clean_sim = design.simulator(n_rep)
     clean = design.run(clean_sim, pts, key, rng=seed)
     expected = clean["ciphertext"]
-    flag_observable = design.scheme != "triplication"
 
     observations = np.zeros(len(targets))
     for t, net in enumerate(targets):
@@ -227,7 +226,7 @@ def fta_attack(
         sim = design.simulator(n_rep, faults=injector)
         res = design.run(sim, pts, key, rng=seed + 2 + t)
         changed = (res["ciphertext"] != expected).any(axis=1)
-        if flag_observable:
+        if design.flag_observable:
             changed |= res["fault"].astype(bool)
         observations[t] = changed.mean()
 

@@ -22,6 +22,7 @@ from repro.attacks.dfa import DfaResult, dfa_attack_last_round
 from repro.countermeasures.base import ProtectedDesign
 from repro.faults.campaign import CampaignResult, run_campaign
 from repro.faults.classification import Outcome
+from repro.faults.executor import ExecutorConfig
 from repro.faults.models import FaultSpec, FaultType, last_round, sbox_input_net
 
 __all__ = ["SelmkeResult", "selmke_attack"]
@@ -51,18 +52,16 @@ def selmke_attack(
     n_runs: int = 20_000,
     seed: int = 1,
     max_pairs: int = 64,
-    jobs: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
+    executor: ExecutorConfig | None = None,
 ) -> SelmkeResult:
     """Run the full identical-fault DFA against ``design``.
 
     Injects ``fault_type`` at input line ``faulted_bit`` of S-box
     ``target_sbox`` in the last round of *every* core of the design (the
     simultaneous double laser of the FDTC'16 setup), then attempts
-    last-round DFA on whatever faulty outputs escaped.  The executor knobs
-    (``jobs``/``checkpoint_dir``/``resume``) are forwarded to the
-    underlying campaign.
+    last-round DFA on whatever faulty outputs escaped.  ``executor`` is
+    forwarded to the underlying campaign (see
+    :func:`~repro.faults.campaign.run_campaign`).
     """
     specs = [
         FaultSpec.at(
@@ -79,9 +78,7 @@ def selmke_attack(
         n_runs=n_runs,
         key=key,
         seed=seed,
-        jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
+        executor=executor,
     )
     effective = campaign.select(Outcome.EFFECTIVE)[:max_pairs]
     if len(effective) == 0:

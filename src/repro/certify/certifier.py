@@ -4,8 +4,7 @@ The sweep runs one mini-campaign per fault-space location — ``R``
 randomised invocations under that location's scenario, classified against
 the fault-free reference — sharded through the resilient executor
 (:func:`repro.faults.executor.run_sharded`), so a certify run inherits the
-campaign machinery's checkpointing, resume, parallelism, retry and
-timeout semantics wholesale.
+executor's checkpointing, resume, parallelism and retries wholesale.
 
 Every location's runs are runs ``[0, R)`` of the campaign keyed by the
 certificate's seed, so all locations share one plaintext/λ draw (common
@@ -41,7 +40,7 @@ from repro.certify.space import (
     enumerate_fault_space,
     locations_for_budget,
 )
-from repro.countermeasures.base import ProtectedDesign, RecoveryPolicy
+from repro.countermeasures.base import ProtectedDesign
 from repro.faults.campaign import RangeRun, run_campaign
 from repro.faults.classification import Outcome, classify
 from repro.faults.executor import ExecutorConfig, prewarm_backend, run_sharded
@@ -88,9 +87,6 @@ class CertifyConfig:
     jobs: int = 1
     checkpoint_dir: object = None
     resume: bool = False
-    timeout: float | None = None
-    retries: int = 2
-    backoff: float = 0.5
     #: global wall-clock budget for the sweep; once spent the certifier
     #: stops scheduling shards and emits a *degraded* partial certificate
     #: with explicit uncovered-fault-space accounting (never an abort)
@@ -104,8 +100,6 @@ def _certify_task(
     key: int,
     seed: int,
     runs: int,
-    flag_observable: bool,
-    infective: bool,
     backend: str | None,
     lo: int,
     hi: int,
@@ -128,7 +122,11 @@ def _certify_task(
         scenario = space.scenario(int(index))
         rel, flags = run.faulted(scenario.specs)
         outcomes = classify(
-            rel, flags, exp, flag_observable=flag_observable, infective=infective
+            rel,
+            flags,
+            exp,
+            flag_observable=design.flag_observable,
+            infective=design.infective,
         )
         counts[row] = np.bincount(outcomes, minlength=len(Outcome))
         effective = np.flatnonzero(outcomes == Outcome.EFFECTIVE)
@@ -169,8 +167,6 @@ def certify_design(
     """
     config = config or CertifyConfig()
     started = time.time()
-    flag_observable = design.scheme != "triplication"
-    infective = design.policy is RecoveryPolicy.INFECTIVE
     runs = config.runs_per_location
 
     manifest = run_manifest(
@@ -283,8 +279,6 @@ def certify_design(
         key,
         config.seed,
         runs,
-        flag_observable,
-        infective,
         config.backend,
     )
     with trace.span(
@@ -301,9 +295,6 @@ def certify_design(
                 jobs=config.jobs,
                 checkpoint_dir=config.checkpoint_dir,
                 resume=config.resume,
-                timeout=config.timeout,
-                retries=config.retries,
-                backoff=config.backoff,
                 wall_budget=config.wall_budget,
                 prewarm=functools.partial(
                     prewarm_backend, design, config.backend

@@ -56,15 +56,46 @@ def _cmd_table3(args) -> int:
     return 0
 
 
+def _add_executor_args(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``/``--checkpoint-dir``/``--resume``: the shard executor's flags."""
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes (default: in-process)",
+    )
+    parser.add_argument(
+        "--checkpoint-dir", default=None,
+        help="checkpoint shards here so the run can be resumed",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="reuse completed shards from --checkpoint-dir",
+    )
+
+
+def _executor_config(args):
+    """The campaign executor config the executor flags ask for.
+
+    None — an in-process campaign — unless they ask for more than one
+    worker, a checkpoint or a resume.
+    """
+    if (args.jobs or 1) == 1 and not args.checkpoint_dir and not args.resume:
+        return None
+    from repro.faults.executor import ExecutorConfig
+
+    return ExecutorConfig(
+        jobs=args.jobs or 1,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+    )
+
+
 def _cmd_fig4(args) -> int:
     from repro.evaluation import figure4, render_histogram
 
     fig = figure4(
         n_runs=args.runs,
         seed=args.seed,
-        jobs=args.jobs,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
+        executor=_executor_config(args),
         backend=args.backend,
     )
     print(f"Fig. 4 — stuck-at-0 at S-box {fig.target_sbox} bit {fig.target_bit}, "
@@ -84,9 +115,7 @@ def _cmd_fig5(args) -> int:
     fig = figure5(
         n_runs=args.runs,
         seed=args.seed,
-        jobs=args.jobs,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
+        executor=_executor_config(args),
         backend=args.backend,
     )
     print(f"Fig. 5 — identical stuck-at-0 at S-box {fig.target_sbox} bit "
@@ -105,9 +134,7 @@ def _cmd_matrix(args) -> int:
     matrix = run_attack_matrix(
         args.runs,
         cipher=args.cipher,
-        jobs=args.jobs,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
+        executor=_executor_config(args),
     )
     rows = [
         [label,
@@ -554,18 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=default_runs)
         p.add_argument("--seed", type=int, default=4)
         if name != "sweep":
-            p.add_argument(
-                "--jobs", type=int, default=None,
-                help="worker processes for the fault campaigns (default: in-process)",
-            )
-            p.add_argument(
-                "--checkpoint-dir", default=None,
-                help="checkpoint campaigns here so they can be resumed",
-            )
-            p.add_argument(
-                "--resume", action="store_true",
-                help="reuse completed shards from --checkpoint-dir",
-            )
+            _add_executor_args(p)
         if name in ("fig4", "fig5"):
             _add_backend_arg(p)
         if name == "matrix":
@@ -616,9 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-fast", action="store_true",
         help="stop scheduling new shards once a witness is found",
     )
-    pcert.add_argument("--jobs", type=int, default=None)
-    pcert.add_argument("--checkpoint-dir", default=None)
-    pcert.add_argument("--resume", action="store_true")
+    _add_executor_args(pcert)
     pcert.add_argument("--out", default=None, help="write the certificate JSON here")
     pcert.add_argument(
         "--wall-budget", type=float, default=None,

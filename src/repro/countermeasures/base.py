@@ -76,6 +76,22 @@ class ProtectedDesign:
         """Clock cycles per encryption."""
         return self.spec.rounds
 
+    @property
+    def flag_observable(self) -> bool:
+        """Whether the comparator flag shows at the interface.
+
+        The detect-and-suppress schemes visibly replace the output; the
+        error-*correcting* triplication keeps its flag internal, so an
+        attacker sees only the corrected word (see
+        :func:`repro.faults.classification.classify`).
+        """
+        return self.scheme != "triplication"
+
+    @property
+    def infective(self) -> bool:
+        """Whether a sensed fault releases a randomised word."""
+        return self.policy is RecoveryPolicy.INFECTIVE
+
     def simulator(
         self, batch: int, *, faults=None, backend: str | None = None
     ) -> Simulator:

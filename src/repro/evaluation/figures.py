@@ -19,7 +19,6 @@ against PRESENT-80:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from repro.ciphers.netlist_present import PresentSpec
 from repro.ciphers.spn import SpnSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
 from repro.countermeasures.base import ProtectedDesign
-from repro.faults import FaultSpec, FaultType, Outcome, run_campaign
+from repro.faults import ExecutorConfig, FaultSpec, FaultType, Outcome, run_campaign
 from repro.faults.models import last_round, sbox_input_net
 from repro.telemetry import trace
 
@@ -83,9 +82,7 @@ def _series_single_fault(
     key: int,
     seed: int,
     both_cores: bool,
-    jobs: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
+    executor: ExecutorConfig | None = None,
     backend: str | None = None,
 ) -> SchemeSeries:
     specs = []
@@ -98,9 +95,6 @@ def _series_single_fault(
                 last_round(core),
             )
         )
-    if checkpoint_dir is not None:
-        # one campaign per scheme → one sub-directory per scheme
-        checkpoint_dir = Path(checkpoint_dir) / design.scheme
     with trace.span(
         "figures.series",
         scheme=design.scheme,
@@ -115,10 +109,8 @@ def _series_single_fault(
             n_runs=n_runs,
             key=key,
             seed=seed,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
             backend=backend,
+            executor=executor and executor.subdir(design.scheme),
         )
     dist = ineffective_distribution(result, spec, sbox)
     return SchemeSeries(
@@ -148,19 +140,18 @@ def figure4(
     target_sbox: int = 13,
     target_bit: int = 2,
     spec: SpnSpec | None = None,
-    jobs: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
+    executor: ExecutorConfig | None = None,
     backend: str | None = None,
 ) -> Figure4Data:
     """Regenerate Fig. 4 (single-core stuck-at-0, SIFA bias).
 
-    ``jobs``/``checkpoint_dir``/``resume`` run the underlying campaigns
-    through the resilient sharded executor (one checkpoint sub-directory
-    per scheme); the series are bit-identical either way.
+    An ``executor`` config runs the underlying campaigns through the
+    resilient shard executor, checkpointing each scheme under
+    ``checkpoint_dir/fig4/<scheme>``; the series are bit-identical either
+    way.
     """
     spec = spec or PresentSpec()
-    checkpoint_dir = Path(checkpoint_dir) / "fig4" if checkpoint_dir else None
+    executor = executor and executor.subdir("fig4")
     with trace.span(
         "figures.fig4", sbox=target_sbox, bit=target_bit, n_runs=n_runs
     ):
@@ -173,9 +164,7 @@ def figure4(
             key=key,
             seed=seed,
             both_cores=False,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            executor=executor,
             backend=backend,
         )
         ours = _series_single_fault(
@@ -187,9 +176,7 @@ def figure4(
             key=key,
             seed=seed,
             both_cores=False,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            executor=executor,
             backend=backend,
         )
     return Figure4Data(
@@ -205,17 +192,15 @@ def figure5(
     target_sbox: int = 5,
     target_bit: int = 1,
     spec: SpnSpec | None = None,
-    jobs: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
+    executor: ExecutorConfig | None = None,
     backend: str | None = None,
 ) -> Figure5Data:
     """Regenerate Fig. 5 (identical stuck-at-0 in both computations).
 
-    Executor knobs as in :func:`figure4`.
+    ``executor`` as in :func:`figure4`, under ``checkpoint_dir/fig5``.
     """
     spec = spec or PresentSpec()
-    checkpoint_dir = Path(checkpoint_dir) / "fig5" if checkpoint_dir else None
+    executor = executor and executor.subdir("fig5")
     with trace.span(
         "figures.fig5", sbox=target_sbox, bit=target_bit, n_runs=n_runs
     ):
@@ -228,9 +213,7 @@ def figure5(
             key=key,
             seed=seed,
             both_cores=True,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            executor=executor,
             backend=backend,
         )
         ours = _series_single_fault(
@@ -242,9 +225,7 @@ def figure5(
             key=key,
             seed=seed,
             both_cores=True,
-            jobs=jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            executor=executor,
             backend=backend,
         )
     return Figure5Data(

@@ -9,8 +9,6 @@ keys/plaintexts are widened to the cipher's port sizes.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.attacks import selmke_attack, sifa_attack
 from repro.attacks.fta import fta_key_recovery
 from repro.ciphers.registry import make_spec
@@ -19,7 +17,7 @@ from repro.countermeasures import (
     build_naive_duplication,
     build_three_in_one,
 )
-from repro.faults import FaultSpec, FaultType, Outcome, run_campaign
+from repro.faults import ExecutorConfig, FaultSpec, FaultType, Outcome, run_campaign
 from repro.faults.models import sbox_input_net
 
 __all__ = ["FTA_PLAINTEXTS", "run_attack_matrix", "run_round_sweep"]
@@ -55,16 +53,14 @@ def run_attack_matrix(
     *,
     cipher: str = "present80",
     key: int = DEFAULT_KEY,
-    jobs: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
+    executor: ExecutorConfig | None = None,
 ) -> dict[str, dict]:
     """DFA/SIFA/FTA key-recovery attempts against all three duplication
     schemes; returns ``{scheme: {attack: result}}``.
 
-    ``jobs``/``checkpoint_dir``/``resume`` route the DFA and SIFA campaigns
-    (the heavy cells) through the resilient sharded executor, one
-    checkpoint sub-directory per matrix cell.
+    An ``executor`` config routes the DFA and SIFA campaigns (the heavy
+    cells) through the resilient shard executor, checkpointing each cell
+    under ``checkpoint_dir/<scheme>_dfa`` and ``checkpoint_dir/<scheme>_sifa``.
     """
     spec = make_spec(cipher)
     key = _fit_key(key, spec.key_bits)
@@ -73,7 +69,6 @@ def run_attack_matrix(
         "acisp20": build_acisp20(spec),
         "three_in_one": build_three_in_one(spec),
     }
-    ckpt = Path(checkpoint_dir) if checkpoint_dir is not None else None
     matrix: dict[str, dict] = {}
     for label, design in schemes.items():
         selmke = selmke_attack(
@@ -83,9 +78,7 @@ def run_attack_matrix(
             key=key,
             n_runs=n_runs,
             seed=4,
-            jobs=jobs,
-            checkpoint_dir=ckpt / f"{label}_dfa" if ckpt else None,
-            resume=resume,
+            executor=executor and executor.subdir(f"{label}_dfa"),
         )
         net = sbox_input_net(design.cores[0], 7, 1)
         fault = FaultSpec.at(net, FaultType.STUCK_AT_0, spec.rounds - 2)
@@ -95,9 +88,7 @@ def run_attack_matrix(
             n_runs=n_runs,
             key=key,
             seed=21,
-            jobs=jobs,
-            checkpoint_dir=ckpt / f"{label}_sifa" if ckpt else None,
-            resume=resume,
+            executor=executor and executor.subdir(f"{label}_sifa"),
         )
         sifa = sifa_attack(campaign, spec, 7, 1)
         # round-1 FTA key recovery templates the key addition *before* the

@@ -14,7 +14,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.campaign import RNG_BLOCK, CampaignResult, run_campaign
 from repro.faults.checkpoint import CheckpointError, CheckpointStore
 from repro.faults.classification import Outcome
-from repro.faults.executor import ExecutorConfig, ShardTimeout, run_campaign_sharded
+from repro.faults.executor import ExecutorConfig, ShardTimeout
 
 __all__ = [
     "RNG_BLOCK",
@@ -29,5 +29,4 @@ __all__ = [
     "ShardTimeout",
     "last_round",
     "run_campaign",
-    "run_campaign_sharded",
 ]

@@ -37,20 +37,33 @@ draws everything — plaintexts, garbage words, λ schedules, probabilistic
 injector masks — from the substream ``derive_rng(seed, b)``.  A campaign's
 arrays therefore depend only on ``(design, specs, key, seed, n_runs)``;
 they are bit-identical regardless of ``chunk`` size, worker count, shard
-size, or crash/resume history.  The sharded executor
-(:mod:`repro.faults.executor`) relies on this to merge checkpointed shards
-into exactly the single-shot result.
+size, or crash/resume history.
+
+Execution
+---------
+
+:func:`run_campaign` is the one entry point.  Without an executor config
+it runs the whole range in-process; with one it splits the range into
+shards of :attr:`ExecutorConfig.shard_runs
+<repro.faults.executor.ExecutorConfig.shard_runs>` runs and hands them to
+the supervised shard executor (:func:`repro.faults.executor.run_sharded`),
+which adds a worker pool, checkpoints, resume, retries and timeouts.  The
+determinism contract lets it merge checkpointed shards into exactly the
+in-process result.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.countermeasures.base import ProtectedDesign
+from repro.faults.checkpoint import SHARD_KEYS
 from repro.faults.classification import Outcome, classify
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec
@@ -64,7 +77,17 @@ from repro.utils.bits import (
     words_to_bytes,
 )
 
-__all__ = ["CHUNK", "RNG_BLOCK", "CampaignResult", "RangeRun", "run_campaign"]
+if TYPE_CHECKING:
+    from repro.faults.executor import ExecutorConfig, ShardHook
+
+__all__ = [
+    "CHUNK",
+    "RNG_BLOCK",
+    "CampaignResult",
+    "RangeRun",
+    "campaign_identity",
+    "run_campaign",
+]
 
 #: Runs per RNG substream — the granularity of the determinism contract.
 #: Chunk and shard boundaries are aligned to multiples of this.
@@ -108,9 +131,9 @@ class RangeRun:
     Construction simulates nothing.  It draws the range's plaintexts, makes
     the garbage and λ draws a clean simulation would make
     (:meth:`ProtectedDesign.draw`) and discards them; ``expected`` comes
-    from the cipher's packed software reference.  ``plaintext`` and ``expected`` are byte rows; the
-    plaintexts stay packed rows for the simulator, so no
-    ``(batch, block)`` bit matrix is built.  The generator's per-block
+    from the cipher's packed software reference.  ``plaintext`` and
+    ``expected`` are byte rows; the plaintexts stay packed rows for the
+    simulator, so no ``(batch, block)`` bit matrix is built.  The generator's per-block
     states are then recorded, so every :meth:`faulted` pass starts its
     injector masks and its own λ/garbage draws from exactly the state a
     fresh two-simulator run of the range would reach after its clean pass:
@@ -342,6 +365,119 @@ class CampaignResult:
         )
 
 
+def campaign_identity(
+    design: ProtectedDesign,
+    specs: Sequence[FaultSpec],
+    *,
+    key: int,
+    seed: int,
+    n_runs: int,
+    shard_runs: int,
+) -> dict:
+    """The manifest fields that pin a checkpoint to one exact campaign."""
+    return {
+        "scheme": design.scheme,
+        "variant": design.variant,
+        "block_bits": design.spec.block_bits,
+        "key": str(key),
+        "seed": seed,
+        "n_runs": n_runs,
+        "shard_runs": shard_runs,
+        "specs": [s.to_dict() for s in specs],
+    }
+
+
+def _campaign_task(
+    design: ProtectedDesign,
+    specs: list[FaultSpec],
+    key: int,
+    seed: int,
+    backend: str | None,
+    lo: int,
+    hi: int,
+) -> dict[str, np.ndarray]:
+    """Shard task of a fault campaign: simulate runs ``[lo, hi)``."""
+    arrays = run_range(
+        design, specs, key=key, seed=seed, lo=lo, hi=hi, backend=backend
+    )
+    return dict(zip(SHARD_KEYS, arrays))
+
+
+def _run_sharded(
+    design: ProtectedDesign,
+    specs: Sequence[FaultSpec],
+    *,
+    n_runs: int,
+    key: int,
+    seed: int,
+    backend: str | None,
+    config: ExecutorConfig,
+    shard_hook: ShardHook | None,
+) -> tuple[dict[str, np.ndarray], dict]:
+    """The campaign's arrays and ``extra`` from the shard executor."""
+    # Imported here: loading ``logging`` while this module loads, ahead of
+    # the executor, raises a serial campaign process's peak RSS.
+    import logging
+
+    from repro.faults.executor import prewarm_backend, run_sharded
+
+    if config.prewarm is None:
+        config = replace(
+            config, prewarm=functools.partial(prewarm_backend, design, backend)
+        )
+    shard_runs = max(
+        RNG_BLOCK, config.shard_runs - config.shard_runs % RNG_BLOCK
+    )
+    ranges = [
+        (lo, min(lo + shard_runs, n_runs)) for lo in range(0, n_runs, shard_runs)
+    ]
+    task = functools.partial(
+        _campaign_task, design, list(specs), key, seed, backend
+    )
+    identity = campaign_identity(
+        design, specs, key=key, seed=seed, n_runs=n_runs, shard_runs=shard_runs
+    )
+    run = run_sharded(
+        task, ranges, config=config, identity=identity, keys=SHARD_KEYS,
+        shard_hook=shard_hook, label=f"campaign[{design.scheme}]",
+    )
+
+    failures = run.failures
+    if failures:
+        lost = sum(f["hi"] - f["lo"] for f in failures)
+        logging.getLogger(__name__).warning(
+            "campaign completed partially: %d of %d shards quarantined "
+            "(%d of %d runs lost); see result.extra['failed_shards']",
+            len(failures), len(ranges), lost, n_runs,
+        )
+        trace.event(
+            "campaign.partial",
+            scheme=design.scheme,
+            failed_shards=len(failures),
+            total_shards=len(ranges),
+            runs_lost=lost,
+            n_runs=n_runs,
+        )
+    merged = run.merged(SHARD_KEYS)
+    if merged is None:
+        merged = task(0, 0)  # no shard survived: the empty arrays
+    return merged, {
+        "variant": design.variant,
+        "n_runs": n_runs,
+        "jobs": config.jobs,
+        "shard_runs": shard_runs,
+        "n_shards": len(ranges),
+        "partial": bool(failures) or run.budget_exhausted,
+        "failed_shards": failures,
+        "budget_exhausted": run.budget_exhausted,
+        "checkpoint_dir": (
+            str(config.checkpoint_dir)
+            if config.checkpoint_dir is not None
+            else None
+        ),
+    }
+
+
 def run_campaign(
     design: ProtectedDesign,
     specs: Sequence[FaultSpec],
@@ -349,97 +485,67 @@ def run_campaign(
     n_runs: int = 80_000,
     key: int,
     seed: int = 1,
-    chunk: int = CHUNK,
-    flag_observable: bool | None = None,
-    jobs: int | None = None,
-    shard_runs: int | None = None,
-    checkpoint_dir=None,
-    resume: bool = False,
-    timeout: float | None = None,
-    retries: int = 2,
-    backoff: float = 0.5,
     backend: str | None = None,
+    executor: ExecutorConfig | None = None,
+    shard_hook: ShardHook | None = None,
 ) -> CampaignResult:
     """Execute a fault campaign against ``design``.
 
     The paper's Fig. 4 / Fig. 5 data points are campaigns with
     ``n_runs=80_000`` over PRESENT-80 designs; smaller ``n_runs`` give the
-    same shapes faster.  ``flag_observable`` defaults by scheme: internal
-    (non-observable) for error-correcting triplication, observable for the
-    detect-and-suppress schemes.
+    same shapes faster.  Whether the comparator flag is observable follows
+    the design (:attr:`ProtectedDesign.flag_observable`).
 
     **Determinism contract:** the result arrays depend only on
     ``(design, specs, key, seed, n_runs)``.  All randomness is drawn from
     per-block substreams keyed by ``(seed, run_index // RNG_BLOCK)``, so
-    ``chunk``, ``jobs``, ``shard_runs``, ``backend`` and crash/resume
-    history affect only memory and wall-clock, never the bits (simulator
-    backends are bit-exact against each other; checkpoints are therefore
-    backend-agnostic).
+    ``backend``, ``executor`` and crash/resume history affect only memory
+    and wall-clock, never the bits (simulator backends are bit-exact
+    against each other; checkpoints are therefore backend-agnostic, and
+    ``backend`` is not part of a checkpoint's identity).
 
-    When any of ``jobs > 1``, ``shard_runs``, ``checkpoint_dir`` or
-    ``resume`` is given the campaign is delegated to the resilient sharded
-    executor (:func:`repro.faults.executor.run_campaign_sharded`): the run
-    is split into checkpointable shards executed by a supervised worker
-    pool with per-shard ``timeout``/``retries``/``backoff``, and a
-    checkpointed campaign can be resumed mid-flight with ``resume=True``.
-    Shards that exhaust their retries are dropped and the result is marked
-    ``partial`` (see ``CampaignResult.partial``).
+    With ``executor=None`` the campaign runs in-process.  Any
+    :class:`~repro.faults.executor.ExecutorConfig` runs it through the
+    supervised shard executor instead: checkpointable shards of
+    ``shard_runs`` runs on ``jobs`` workers, each with its
+    ``timeout``/``retries``/``backoff``, resumable mid-flight from
+    ``checkpoint_dir`` with ``resume=True``.  Shards that exhaust their
+    retries are dropped and the result is marked ``partial`` (see
+    ``CampaignResult.partial``).  ``shard_hook(index, attempt)`` runs at
+    the start of every executor shard attempt (a test seam for injecting
+    failures and delays; it must be picklable when ``jobs > 1``).
     """
-    from repro.countermeasures.base import RecoveryPolicy
-
-    if flag_observable is None:
-        flag_observable = design.scheme != "triplication"
-    infective = design.policy is RecoveryPolicy.INFECTIVE
-
-    if jobs not in (None, 0, 1) or shard_runs or checkpoint_dir or resume:
-        from repro.faults.executor import ExecutorConfig, run_campaign_sharded
-
-        config = ExecutorConfig(
-            jobs=jobs or 1,
-            shard_runs=shard_runs or ExecutorConfig.shard_runs,
-            chunk=chunk,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
+    if executor is None:
+        with trace.span(
+            "campaign.run", scheme=design.scheme, n_runs=n_runs, seed=seed
+        ):
+            arrays = _campaign_task(
+                design, specs, key, seed, backend, 0, max(n_runs, 0)
+            )
+            outcomes = _classify(design, arrays)
+        extra = {"variant": design.variant, "n_runs": n_runs}
+    else:
+        arrays, extra = _run_sharded(
+            design, specs, n_runs=n_runs, key=key, seed=seed, backend=backend,
+            config=executor, shard_hook=shard_hook,
         )
-        return run_campaign_sharded(
-            design,
-            specs,
-            n_runs=n_runs,
-            key=key,
-            seed=seed,
-            flag_observable=flag_observable,
-            config=config,
-            backend=backend,
-        )
-
-    with trace.span(
-        "campaign.run", scheme=design.scheme, n_runs=n_runs, seed=seed
-    ):
-        pt, rel, exp, flags = run_range(
-            design,
-            specs,
-            key=key,
-            seed=seed,
-            lo=0,
-            hi=max(n_runs, 0),
-            chunk=chunk,
-            backend=backend,
-        )
-        outcomes = classify(
-            rel, flags, exp, flag_observable=flag_observable, infective=infective
-        )
+        outcomes = _classify(design, arrays)
     return CampaignResult(
         scheme=design.scheme,
         key=key,
         specs=list(specs),
         block_bits=design.spec.block_bits,
-        plaintext=pt,
-        released=rel,
-        expected=exp,
-        fault_flags=flags,
+        **arrays,
         outcomes=outcomes,
-        extra={"variant": design.variant, "n_runs": n_runs},
+        extra=extra,
+    )
+
+
+def _classify(design: ProtectedDesign, arrays: dict[str, np.ndarray]) -> np.ndarray:
+    return classify(
+        arrays["released"],
+        arrays["fault_flags"],
+        arrays["expected"],
+        flag_observable=design.flag_observable,
+        infective=design.infective,
     )

@@ -32,9 +32,8 @@ two campaigns would corrupt results.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import os
-import tempfile
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass
@@ -43,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.resilience.chaos import chaos
-from repro.resilience.persist import atomic_write_text, sha256_bytes
+from repro.resilience.persist import atomic_write_bytes, atomic_write_text, sha256_bytes
 from repro.telemetry import run_manifest
 
 __all__ = [
@@ -228,21 +227,9 @@ class CheckpointStore:
         """Atomically persist a completed shard and mark it ``done``."""
         record = self.shards[index]
         path = self.shard_path(index)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **{k: arrays[k] for k in self.keys})
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **{k: arrays[k] for k in self.keys})
+        atomic_write_bytes(path, buffer.getbuffer())
         chaos.corrupt_file("checkpoint.shard", path, index=index)
         record.status = "done"
         record.digest = shard_digest(arrays, self.keys)

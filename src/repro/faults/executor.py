@@ -1,17 +1,19 @@
-"""Resilient sharded execution of fault campaigns (and other sweeps).
+"""Resilient sharded execution of long sweeps: a shard supervisor.
 
-:func:`repro.faults.campaign.run_campaign` is a fine single-shot loop, but
-the paper-scale campaigns (80,000 runs × several designs × several specs)
-are exactly the workloads that die to an OOM kill, a ^C, or a flaky node —
-losing everything.  This module decomposes a workload into deterministic
-*shards* (contiguous index ranges) and executes them through a supervised
-worker pool:
+Paper-scale workloads — 80,000-run fault campaigns, certify sweeps over a
+whole fault space — are exactly the ones that die to an OOM kill, a ^C,
+or a flaky node, losing everything.  :func:`run_sharded` executes any
+picklable ``task(lo, hi) -> {name: array}`` over deterministic *shards*
+(contiguous index ranges) through a supervised worker pool.  It knows no
+workload: the task, the ranges, the checkpoint identity and the array
+names come from its two clients, :func:`repro.faults.campaign.run_campaign`
+and :func:`repro.certify.certifier.certify_design`.
 
-- **Determinism** — every shard draws its randomness from per-block
-  substreams keyed by ``(campaign_seed, block_index)`` (see
+- **Determinism** — a task's output must depend only on its range; both
+  clients key their randomness per block of runs (see
   :func:`repro.faults.campaign.run_range`), so the merged result is
   bit-identical to a single-shot run regardless of shard size, worker
-  count, or how many times the campaign was interrupted and resumed.
+  count, or how many times the sweep was interrupted and resumed.
 - **Checkpointing** — with a ``checkpoint_dir``, each finished shard is
   persisted atomically as an ``.npz`` plus a JSON manifest entry
   (:mod:`repro.faults.checkpoint`); ``resume=True`` skips shards whose
@@ -28,8 +30,9 @@ worker pool:
 - **Quarantine, not abort** — a shard that exhausts its retries is
   *quarantined*: recorded in the manifest with its typed
   :class:`~repro.resilience.errors.ErrorKind`, attempt count and last
-  error, and dropped from the merge.  The campaign completes with the
-  surviving shards and ``result.partial`` set, instead of dying at 99%.
+  error, and dropped from the merge.  The sweep completes with the
+  surviving shards (a campaign sets ``result.partial``) instead of dying
+  at 99%.
 - **Graceful degradation** — an optional global ``wall_budget`` stops
   scheduling new shards once spent; what ran is merged, what did not
   stays ``pending`` in the manifest, and the run is flagged
@@ -39,12 +42,6 @@ worker pool:
   :data:`repro.resilience.chaos.chaos` hooks (worker crash/raise/hang,
   checkpoint corruption, duplicated results); ``tests/test_chaos.py``
   holds this module to the paper's own standard.
-
-Two entry points share all of that machinery: :func:`run_campaign_sharded`
-runs one fault campaign (the original API), while the generic
-:func:`run_sharded` executes any picklable ``task(lo, hi) -> arrays``
-over arbitrary index ranges — the coverage certifier shards its sweep of
-the fault space through it.
 
 The process pool uses ``concurrent.futures.ProcessPoolExecutor``; tasks
 that cannot be pickled (or ``jobs=1``) fall back to in-process serial
@@ -56,7 +53,6 @@ process never loads them.
 from __future__ import annotations
 
 import contextlib
-import functools
 import logging
 import pickle
 import signal
@@ -65,17 +61,18 @@ import time
 import traceback as traceback_module
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.countermeasures.base import ProtectedDesign
-from repro.faults.campaign import CHUNK, RNG_BLOCK, CampaignResult, run_range
-from repro.faults.checkpoint import SHARD_KEYS, CheckpointCorrupt, CheckpointStore
-from repro.faults.classification import classify
-from repro.faults.models import FaultSpec
+from repro.faults.checkpoint import CheckpointCorrupt, CheckpointStore
 from repro.resilience.chaos import chaos
 from repro.resilience.errors import ShardHang, classify_error
 from repro.telemetry import ProgressTracker, metrics, trace
+
+if TYPE_CHECKING:
+    from repro.countermeasures.base import ProtectedDesign
 
 log = logging.getLogger(__name__)
 
@@ -83,9 +80,7 @@ __all__ = [
     "ExecutorConfig",
     "ShardTimeout",
     "ShardedRun",
-    "campaign_identity",
     "prewarm_backend",
-    "run_campaign_sharded",
     "run_sharded",
 ]
 
@@ -113,13 +108,11 @@ class ExecutorConfig:
 
     #: worker processes; 1 = in-process serial execution
     jobs: int = 1
-    #: runs per shard (rounded down to a multiple of ``RNG_BLOCK``): the
-    #: unit of IPC, checkpointing and retry, two default chunks
+    #: items per shard, the unit of IPC, checkpointing and retry.  Campaigns
+    #: round it down to whole RNG blocks; the default is two campaign chunks
+    #: (:data:`repro.faults.campaign.CHUNK`).  Other clients size their
+    #: shards themselves.
     shard_runs: int = 8192
-    #: simulator batch bound inside a shard, in lanes; a shard runs as
-    #: ``ceil(shard_runs / chunk)`` chunks (memory knob, never affects
-    #: bits; see :data:`repro.faults.campaign.CHUNK`)
-    chunk: int = CHUNK
     #: directory for the manifest + shard archives; None disables checkpoints
     checkpoint_dir: object = None
     #: reuse verified shards from an existing checkpoint
@@ -153,6 +146,16 @@ class ExecutorConfig:
         if self.timeout is not None and self.timeout > 0:
             return 2.0 * self.timeout + 5.0
         return None
+
+    def subdir(self, *names: str) -> ExecutorConfig:
+        """This config with its checkpoints under ``checkpoint_dir/names``.
+
+        A checkpoint directory holds one workload, so a caller that runs
+        several (one per scheme, one per matrix cell) gives each its own.
+        """
+        if self.checkpoint_dir is None:
+            return self
+        return replace(self, checkpoint_dir=Path(self.checkpoint_dir, *names))
 
 
 #: once-per-process latch for the "timeout unavailable" degradation warning
@@ -205,46 +208,6 @@ def _deadline(seconds: float | None):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def campaign_identity(
-    design: ProtectedDesign,
-    specs: Sequence[FaultSpec],
-    *,
-    key: int,
-    seed: int,
-    n_runs: int,
-    shard_runs: int,
-) -> dict:
-    """The manifest fields that pin a checkpoint to one exact campaign."""
-    return {
-        "scheme": design.scheme,
-        "variant": design.variant,
-        "block_bits": design.spec.block_bits,
-        "key": str(key),
-        "seed": seed,
-        "n_runs": n_runs,
-        "shard_runs": shard_runs,
-        "specs": [s.to_dict() for s in specs],
-    }
-
-
-def _campaign_task(
-    design: ProtectedDesign,
-    specs: list[FaultSpec],
-    key: int,
-    seed: int,
-    chunk: int,
-    backend: str | None,
-    lo: int,
-    hi: int,
-) -> dict[str, np.ndarray]:
-    """Shard task of a fault campaign: simulate runs ``[lo, hi)``."""
-    arrays = run_range(
-        design, specs, key=key, seed=seed, lo=lo, hi=hi, chunk=chunk,
-        backend=backend,
-    )
-    return dict(zip(SHARD_KEYS, arrays))
 
 
 # ----------------------------------------------------------- pool workers
@@ -735,7 +698,7 @@ def run_sharded(
     *,
     config: ExecutorConfig | None = None,
     identity: dict | None = None,
-    keys: tuple[str, ...] = SHARD_KEYS,
+    keys: tuple[str, ...],
     shard_hook: ShardHook | None = None,
     on_shard_done: Callable[[int, dict[str, np.ndarray]], object] | None = None,
     label: str = "sharded",
@@ -850,110 +813,4 @@ def run_sharded(
         ranges=ranges,
         stopped_early=supervisor.stopped,
         budget_exhausted=supervisor.budget_exhausted,
-    )
-
-
-def run_campaign_sharded(
-    design: ProtectedDesign,
-    specs: Sequence[FaultSpec],
-    *,
-    n_runs: int,
-    key: int,
-    seed: int = 1,
-    flag_observable: bool | None = None,
-    config: ExecutorConfig | None = None,
-    shard_hook: ShardHook | None = None,
-    backend: str | None = None,
-) -> CampaignResult:
-    """Run a campaign through the resilient sharded executor.
-
-    Equivalent to :func:`repro.faults.campaign.run_campaign` (bit-identical
-    arrays for the same ``(design, specs, key, seed, n_runs)``) but
-    checkpointed, resumable and parallel; see the module docstring.
-    ``shard_hook`` is an instrumentation point used by the tests to inject
-    shard failures/delays; it must be picklable when ``jobs > 1``.
-    ``backend`` selects the simulation kernel inside each shard; it is
-    deliberately excluded from the checkpoint identity because backends
-    are bit-exact — a campaign checkpointed under one backend may be
-    resumed under the other.
-    """
-    from repro.countermeasures.base import RecoveryPolicy
-
-    config = config or ExecutorConfig()
-    if config.prewarm is None:
-        config = replace(
-            config, prewarm=functools.partial(prewarm_backend, design, backend)
-        )
-    if flag_observable is None:
-        flag_observable = design.scheme != "triplication"
-    infective = design.policy is RecoveryPolicy.INFECTIVE
-
-    shard_runs = max(
-        RNG_BLOCK, config.shard_runs - config.shard_runs % RNG_BLOCK
-    )
-    ranges = [
-        (lo, min(lo + shard_runs, n_runs)) for lo in range(0, n_runs, shard_runs)
-    ]
-    task = functools.partial(
-        _campaign_task, design, list(specs), key, seed, config.chunk, backend
-    )
-    identity = campaign_identity(
-        design, specs, key=key, seed=seed, n_runs=n_runs, shard_runs=shard_runs
-    )
-    run = run_sharded(
-        task, ranges, config=config, identity=identity, shard_hook=shard_hook,
-        label=f"campaign[{design.scheme}]",
-    )
-
-    failures = run.failures
-    if failures:
-        lost = sum(f["hi"] - f["lo"] for f in failures)
-        log.warning(
-            "campaign completed partially: %d of %d shards quarantined "
-            "(%d of %d runs lost); see result.extra['failed_shards']",
-            len(failures), len(ranges), lost, n_runs,
-        )
-        trace.event(
-            "campaign.partial",
-            scheme=design.scheme,
-            failed_shards=len(failures),
-            total_shards=len(ranges),
-            runs_lost=lost,
-            n_runs=n_runs,
-        )
-    merged = run.merged(SHARD_KEYS)
-    if merged is None:
-        merged = task(0, 0)  # no shard survived: the empty arrays
-    outcomes = classify(
-        merged["released"],
-        merged["fault_flags"],
-        merged["expected"],
-        flag_observable=flag_observable,
-        infective=infective,
-    )
-    return CampaignResult(
-        scheme=design.scheme,
-        key=key,
-        specs=list(specs),
-        block_bits=design.spec.block_bits,
-        plaintext=merged["plaintext"],
-        released=merged["released"],
-        expected=merged["expected"],
-        fault_flags=merged["fault_flags"],
-        outcomes=outcomes,
-        extra={
-            "variant": design.variant,
-            "n_runs": n_runs,
-            "jobs": config.jobs,
-            "shard_runs": shard_runs,
-            "n_shards": len(ranges),
-            "partial": bool(failures) or run.budget_exhausted,
-            "failed_shards": failures,
-            "budget_exhausted": run.budget_exhausted,
-            "checkpoint_dir": (
-                str(config.checkpoint_dir)
-                if config.checkpoint_dir is not None
-                else None
-            ),
-        },
     )

@@ -18,7 +18,6 @@ from repro.faults import (
     FaultSpec,
     FaultType,
     run_campaign,
-    run_campaign_sharded,
 )
 from repro.faults.models import last_round, sbox_input_net
 from repro.resilience import CHAOS_ENV, ChaosFault, ChaosSpec, chaos
@@ -65,13 +64,13 @@ def _assert_identical(a, b):
 
 
 def _run(protected, fast_spec, campaign_fault, *, config):
-    return run_campaign_sharded(
+    return run_campaign(
         protected,
         [campaign_fault],
         n_runs=N_RUNS,
         key=battery_key(fast_spec),
         seed=SEED,
-        config=config,
+        executor=config,
     )
 
 

@@ -29,15 +29,15 @@ from repro.faults import (
     CampaignResult,
     CheckpointError,
     CheckpointStore,
+    ExecutorConfig,
     FaultSpec,
     FaultType,
     Outcome,
     last_round,
     run_campaign,
 )
-from repro.faults.campaign import CHUNK, RangeRun
+from repro.faults.campaign import CHUNK, RangeRun, campaign_identity
 from repro.faults.classification import classify
-from repro.faults.executor import campaign_identity
 from repro.faults.models import last_round, sbox_input_net
 from tests.conftest import TEST_KEY80
 
@@ -230,5 +230,7 @@ def test_resuming_a_bit_matrix_checkpoint_is_refused(design, specs, result, tmp_
     with pytest.raises(CheckpointError, match="stores arrays"):
         run_campaign(
             design, specs, n_runs=n_runs, key=TEST_KEY80, seed=21,
-            shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+            ),
         )

@@ -11,7 +11,6 @@ from repro.faults import (
     FaultSpec,
     FaultType,
     run_campaign,
-    run_campaign_sharded,
 )
 from repro.faults.models import sbox_input_net
 from tests.conftest import TEST_KEY80
@@ -120,9 +119,9 @@ class TestResumeAfterCorruption:
 
     def _checkpointed(self, naive_design, present_spec, ck, **kwargs):
         fault = self._fault(naive_design, present_spec)
-        return run_campaign_sharded(
+        return run_campaign(
             naive_design, [fault], n_runs=self.N, key=TEST_KEY80, seed=21,
-            config=ExecutorConfig(
+            executor=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=ck,
                 retries=0, backoff=0.0, **kwargs,
             ),
@@ -130,9 +129,9 @@ class TestResumeAfterCorruption:
 
     def _resume(self, naive_design, present_spec, ck):
         fault = self._fault(naive_design, present_spec)
-        return run_campaign_sharded(
+        return run_campaign(
             naive_design, [fault], n_runs=self.N, key=TEST_KEY80, seed=21,
-            config=ExecutorConfig(
+            executor=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=ck,
                 retries=0, backoff=0.0, resume=True,
             ),
@@ -167,9 +166,9 @@ class TestResumeAfterCorruption:
         """The worst case: killed mid-campaign AND both artefact kinds torn."""
         ck = tmp_path / "ck"
         fault = self._fault(naive_design, present_spec)
-        partial = run_campaign_sharded(
+        partial = run_campaign(
             naive_design, [fault], n_runs=self.N, key=TEST_KEY80, seed=21,
-            config=ExecutorConfig(
+            executor=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=ck,
                 retries=0, backoff=0.0,
             ),

@@ -24,7 +24,6 @@ from repro.faults import (
     FaultSpec,
     FaultType,
     run_campaign,
-    run_campaign_sharded,
 )
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.models import sbox_input_net
@@ -83,9 +82,9 @@ def _assert_identical(a, b):
 
 
 def _run(design, fault, *, config, backend=None):
-    return run_campaign_sharded(
+    return run_campaign(
         design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-        config=config, backend=backend,
+        executor=config, backend=backend,
     )
 
 

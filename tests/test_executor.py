@@ -9,6 +9,7 @@ results, and checkpoint corruption handling.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import time
@@ -23,9 +24,10 @@ from repro.faults import (
     FaultSpec,
     FaultType,
     run_campaign,
-    run_campaign_sharded,
 )
+from repro.faults.campaign import run_range
 from repro.faults.checkpoint import CheckpointStore, shard_digest
+from repro.faults.classification import classify
 from repro.faults.models import sbox_input_net
 from repro.resilience.persist import sha256_bytes
 from tests.conftest import TEST_KEY80
@@ -85,9 +87,21 @@ def sleep_in_shard_zero(index: int, attempt: int) -> None:
 class TestDeterminism:
     def test_chunk_size_invariance(self, naive_design, present_spec, single_shot):
         fault = _fault(naive_design, present_spec)
-        small = run_campaign(
-            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+        pt, rel, exp, flags = run_range(
+            naive_design, [fault], key=TEST_KEY80, seed=SEED, lo=0, hi=N_RUNS,
             chunk=RNG_BLOCK,
+        )
+        small = dataclasses.replace(
+            single_shot,
+            plaintext=pt,
+            released=rel,
+            expected=exp,
+            fault_flags=flags,
+            outcomes=classify(
+                rel, flags, exp,
+                flag_observable=naive_design.flag_observable,
+                infective=naive_design.infective,
+            ),
         )
         _assert_identical(small, single_shot)
 
@@ -97,7 +111,9 @@ class TestDeterminism:
         fault = _fault(naive_design, present_spec)
         sharded = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            shard_runs=RNG_BLOCK, checkpoint_dir=tmp_path / "ck",
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=tmp_path / "ck"
+            ),
         )
         _assert_identical(sharded, single_shot)
         assert not sharded.partial
@@ -109,7 +125,7 @@ class TestDeterminism:
         fault = _fault(naive_design, present_spec)
         parallel = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            jobs=2, shard_runs=RNG_BLOCK,
+            executor=ExecutorConfig(jobs=2, shard_runs=RNG_BLOCK),
         )
         _assert_identical(parallel, single_shot)
 
@@ -119,9 +135,9 @@ class TestDeterminism:
         """Kill after k shards, resume, compare against the uninterrupted run."""
         fault = _fault(naive_design, present_spec)
         ck = tmp_path / "ck"
-        partial = run_campaign_sharded(
+        partial = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            config=ExecutorConfig(
+            executor=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=ck, retries=0, backoff=0.0
             ),
             shard_hook=fail_from_shard_one,
@@ -137,7 +153,9 @@ class TestDeterminism:
 
         resumed = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+            ),
         )
         _assert_identical(resumed, single_shot)
         assert not resumed.partial
@@ -157,15 +175,15 @@ class TestDeterminism:
         ck = tmp_path / "ck"
         run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            shard_runs=RNG_BLOCK, checkpoint_dir=ck,
+            executor=ExecutorConfig(shard_runs=RNG_BLOCK, checkpoint_dir=ck),
         )
 
         def explode(index, attempt):  # would fail any recomputed shard
             raise AssertionError("shard was re-executed on resume")
 
-        resumed = run_campaign_sharded(
+        resumed = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            config=ExecutorConfig(
+            executor=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
             ),
             shard_hook=explode,
@@ -178,9 +196,9 @@ class TestSupervision:
         self, naive_design, present_spec, single_shot
     ):
         fault = _fault(naive_design, present_spec)
-        result = run_campaign_sharded(
+        result = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            config=ExecutorConfig(shard_runs=RNG_BLOCK, retries=1, backoff=0.0),
+            executor=ExecutorConfig(shard_runs=RNG_BLOCK, retries=1, backoff=0.0),
             shard_hook=FlakyFirstAttempt(),
         )
         assert not result.partial
@@ -192,9 +210,9 @@ class TestSupervision:
         fault = _fault(naive_design, present_spec)
         ck = tmp_path / "ck"
         with caplog.at_level(logging.WARNING, logger="repro.faults.executor"):
-            result = run_campaign_sharded(
+            result = run_campaign(
                 naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-                config=ExecutorConfig(
+                executor=ExecutorConfig(
                     shard_runs=RNG_BLOCK, checkpoint_dir=ck, retries=1, backoff=0.0
                 ),
                 shard_hook=always_fail_shard_zero,
@@ -223,9 +241,9 @@ class TestSupervision:
 
     def test_shard_timeout_enforced(self, naive_design, present_spec):
         fault = _fault(naive_design, present_spec)
-        result = run_campaign_sharded(
+        result = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            config=ExecutorConfig(
+            executor=ExecutorConfig(
                 shard_runs=RNG_BLOCK, timeout=0.3, retries=0, backoff=0.0
             ),
             shard_hook=sleep_in_shard_zero,
@@ -233,13 +251,28 @@ class TestSupervision:
         assert result.partial
         assert "ShardTimeout" in result.extra["failed_shards"][0]["error"]
 
+    def test_timeout_alone_selects_the_executor(self, naive_design, present_spec):
+        """A config that sets nothing but a timeout still runs shards under
+        it: shard 0 sleeps past the budget on every attempt and ends up
+        quarantined, the other shards survive."""
+        fault = _fault(naive_design, present_spec)
+        result = run_campaign(
+            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+            executor=ExecutorConfig(timeout=0.3),
+            shard_hook=sleep_in_shard_zero,
+        )
+        assert result.partial
+        [failure] = result.extra["failed_shards"]
+        assert failure["index"] == 0
+        assert "ShardTimeout" in failure["error"]
+
 
 class TestCheckpointIntegrity:
     def _checkpointed(self, naive_design, present_spec, ck):
         fault = _fault(naive_design, present_spec)
         return run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            shard_runs=RNG_BLOCK, checkpoint_dir=ck,
+            executor=ExecutorConfig(shard_runs=RNG_BLOCK, checkpoint_dir=ck),
         )
 
     def test_corrupt_manifest_recovers_with_fresh_ledger(
@@ -258,7 +291,9 @@ class TestCheckpointIntegrity:
         with caplog.at_level(logging.WARNING, logger="repro.faults.executor"):
             resumed = run_campaign(
                 naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+                executor=ExecutorConfig(
+                    shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+                ),
             )
         assert "fresh ledger" in caplog.text
         _assert_identical(resumed, single_shot)
@@ -303,7 +338,9 @@ class TestCheckpointIntegrity:
             run_campaign(
                 naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80,
                 seed=SEED + 1,  # different campaign identity
-                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+                executor=ExecutorConfig(
+                    shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+                ),
             )
 
     def test_corrupt_shard_archive_recomputed(
@@ -315,7 +352,9 @@ class TestCheckpointIntegrity:
         fault = _fault(naive_design, present_spec)
         resumed = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+            ),
         )
         _assert_identical(resumed, single_shot)
 
@@ -336,7 +375,9 @@ class TestCheckpointIntegrity:
         fault = _fault(naive_design, present_spec)
         resumed = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-            shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+            ),
         )
         _assert_identical(resumed, single_shot)
 
@@ -353,6 +394,33 @@ class TestCheckpointIntegrity:
         for index, record in store.shards.items():
             arrays = store.read_shard(index)
             assert shard_digest(arrays) == record.digest
+
+    def test_manifest_pins_campaign_identity(
+        self, naive_design, present_spec, tmp_path
+    ):
+        """Exactly these fields and values identify a campaign checkpoint;
+        checkpoints written before are resumable only while they hold."""
+        ck = tmp_path / "ck"
+        self._checkpointed(naive_design, present_spec, ck)
+        raw = json.loads((ck / "manifest.json").read_text())
+        assert raw["campaign"] == {
+            "scheme": "naive_duplication",
+            "variant": None,
+            "block_bits": 64,
+            "key": str(TEST_KEY80),
+            "seed": SEED,
+            "n_runs": N_RUNS,
+            "shard_runs": RNG_BLOCK,
+            "specs": [
+                {
+                    "net": 505,
+                    "fault_type": "stuck_at_0",
+                    "cycles": [29],
+                    "probability": 1.0,
+                    "label": "",
+                }
+            ],
+        }
 
     def test_manifest_from_older_semantics_is_refused_on_resume(
         self, naive_design, present_spec, tmp_path
@@ -371,7 +439,9 @@ class TestCheckpointIntegrity:
         with pytest.raises(CheckpointError, match="manifest version 1"):
             run_campaign(
                 naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True,
+                executor=ExecutorConfig(
+                    shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+                ),
             )
 
 
@@ -535,8 +605,8 @@ class TestPrewarm:
         assert "pre-warm" in caplog.text
 
     def test_sharded_campaign_defaults_prewarm(self, naive_design, present_spec, monkeypatch):
-        """run_campaign_sharded wires a backend pre-warm into the executor
-        config by default, and the serial path actually runs it."""
+        """run_campaign wires a backend pre-warm into an executor config by
+        default, and the serial path actually runs it."""
         import repro.faults.executor as executor_mod
 
         calls = []
@@ -545,10 +615,10 @@ class TestPrewarm:
             executor_mod, "prewarm_backend",
             lambda d, b: calls.append(b) or real(d, b),
         )
-        run_campaign_sharded(
+        run_campaign(
             naive_design, [_fault(naive_design, present_spec)],
             n_runs=RNG_BLOCK // 2, key=TEST_KEY80, seed=SEED,
             backend="levelized",
-            config=ExecutorConfig(shard_runs=RNG_BLOCK),
+            executor=ExecutorConfig(shard_runs=RNG_BLOCK),
         )
         assert calls == ["levelized"]

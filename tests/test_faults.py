@@ -154,7 +154,7 @@ class TestCampaign:
         spec = FaultSpec.at(
             sbox_input_net(core, 13, 2), FaultType.STUCK_AT_0, last_round(core)
         )
-        res = run_campaign(naive_design, [spec], n_runs=512, key=7, seed=13, chunk=200)
+        res = run_campaign(naive_design, [spec], n_runs=512, key=7, seed=13)
         counts = res.counts()
         assert counts["ineffective"] + counts["detected"] + counts["effective"] == 512
         assert counts["effective"] == 0

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.countermeasures import build_three_in_one
-from repro.faults import run_campaign
+from repro.faults import ExecutorConfig, run_campaign
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec, FaultType, last_round, sbox_input_net
 from repro.netlist.circuit import Circuit
@@ -356,8 +356,9 @@ class TestCampaignEquivalence:
             key=key,
             seed=3,
             backend=backend,
-            shard_runs=1024,
-            checkpoint_dir=tmp_path / f"ckpt-{backend}",
+            executor=ExecutorConfig(
+                shard_runs=1024, checkpoint_dir=tmp_path / f"ckpt-{backend}"
+            ),
         )
         assert single.counts() == sharded.counts()
         np.testing.assert_array_equal(single.outcomes, sharded.outcomes)

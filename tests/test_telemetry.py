@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.faults import RNG_BLOCK, FaultSpec, FaultType, run_campaign
+from repro.faults import RNG_BLOCK, ExecutorConfig, FaultSpec, FaultType, run_campaign
 from repro.faults.models import sbox_input_net
 from repro.telemetry import (
     MetricsRegistry,
@@ -317,7 +317,7 @@ def test_pool_campaign_aggregates_worker_telemetry(
     try:
         run_campaign(
             naive_design, [fault], n_runs=2 * RNG_BLOCK, key=TEST_KEY80,
-            seed=7, jobs=2, shard_runs=RNG_BLOCK,
+            seed=7, executor=ExecutorConfig(jobs=2, shard_runs=RNG_BLOCK),
         )
     finally:
         trace.close(final_metrics=metrics.snapshot())
