@@ -881,7 +881,6 @@ def _configure_logging(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.certify import CertificateError
-    from repro.faults.checkpoint import CheckpointError
     from repro.telemetry import metrics, run_manifest, trace
 
     args = build_parser().parse_args(argv)
@@ -921,21 +920,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with correlate:
             return args.fn(args)
-    except CheckpointError as exc:
-        # A stale or foreign checkpoint directory is an operator error, not
-        # a crash: name the mismatch and exit with a distinct status so
-        # wrapper scripts can tell it apart from a failed verdict (1).
+    except CertificateError as exc:
+        # A certificate that fails schema or checksum validation cannot be
+        # trusted: exit with a distinct status so wrapper scripts can tell
+        # it apart from a failed verdict (1).
+        print(f"certificate invalid: {exc}", file=sys.stderr)
+        return EXIT_CHECKPOINT_MISMATCH
+    except Exception as exc:
+        # Imported here: a run without a checkpoint never loads the store.
+        from repro.faults.checkpoint import CheckpointError
+
+        if not isinstance(exc, CheckpointError):
+            raise
+        # A stale or foreign checkpoint directory is in the same family:
+        # an operator error, not a crash, so name the mismatch.
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         print(
             "hint: point --checkpoint-dir at the directory created by the "
             "original run, or remove it to start fresh",
             file=sys.stderr,
         )
-        return EXIT_CHECKPOINT_MISMATCH
-    except CertificateError as exc:
-        # A certificate that fails schema or checksum validation is in the
-        # same family: the artefact on disk cannot be trusted.
-        print(f"certificate invalid: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT_MISMATCH
     finally:
         if trace_path:

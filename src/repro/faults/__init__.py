@@ -9,12 +9,7 @@ released), *detected* (comparator fired / output suppressed) or *effective*
 (a faulty output escaped — a countermeasure bypass).
 """
 
-from repro.faults.models import FaultSpec, FaultType, last_round
-from repro.faults.injector import FaultInjector
-from repro.faults.campaign import RNG_BLOCK, CampaignResult, run_campaign
-from repro.faults.checkpoint import CheckpointError, CheckpointStore
-from repro.faults.classification import Outcome
-from repro.faults.executor import ExecutorConfig, ShardTimeout
+from repro.utils.lazy import lazy_exports
 
 __all__ = [
     "RNG_BLOCK",
@@ -30,3 +25,21 @@ __all__ = [
     "last_round",
     "run_campaign",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "RNG_BLOCK": "repro.faults.campaign",
+        "CampaignResult": "repro.faults.campaign",
+        "CheckpointError": "repro.faults.checkpoint",
+        "CheckpointStore": "repro.faults.checkpoint",
+        "ExecutorConfig": "repro.faults.executor",
+        "FaultInjector": "repro.faults.injector",
+        "FaultSpec": "repro.faults.models",
+        "FaultType": "repro.faults.models",
+        "Outcome": "repro.faults.classification",
+        "ShardTimeout": "repro.faults.executor",
+        "last_round": "repro.faults.models",
+        "run_campaign": "repro.faults.campaign",
+    },
+)

@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.countermeasures.base import ProtectedDesign
-from repro.faults.checkpoint import SHARD_KEYS
 from repro.faults.classification import Outcome, classify
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec
@@ -104,6 +103,12 @@ RNG_BLOCK = 1024
 #: transposes) is cheap enough that halving the chunk from 8,192 lanes
 #: keeps the campaign's runs/s.
 CHUNK = 1 << 12
+
+#: Array keys of a campaign's shards, in checkpoint digest order.  The
+#: words are byte rows (:mod:`repro.utils.bits`); checkpoints written when
+#: shards held bit matrices under ``*_bits`` keys fail the manifest's key
+#: check on resume.
+SHARD_KEYS = ("plaintext", "released", "expected", "fault_flags")
 
 
 def range_rng(seed: int, lo: int, hi: int) -> BlockedRng:

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.faults.campaign import SHARD_KEYS
 from repro.resilience.chaos import chaos
 from repro.resilience.persist import atomic_write_bytes, atomic_write_text, sha256_bytes
 from repro.telemetry import run_manifest
@@ -57,11 +58,6 @@ MANIFEST_NAME = "manifest.json"
 #: 2 = a fault on an input or constant lasts only its cycle (version 1
 #: shards kept it for the rest of the run).
 MANIFEST_VERSION = 2
-
-#: Array keys persisted per shard, in digest order.  The words are byte
-#: rows (:mod:`repro.utils.bits`); checkpoints written when shards held bit
-#: matrices under ``*_bits`` keys fail the manifest's key check on resume.
-SHARD_KEYS = ("plaintext", "released", "expected", "fault_flags")
 
 
 class CheckpointError(RuntimeError):
@@ -115,10 +111,10 @@ class CheckpointStore:
 
     ``keys`` names the arrays each shard persists (first key's leading
     dimension must equal the shard's item count).  Campaigns use the
-    default :data:`SHARD_KEYS`; the coverage certifier stores per-location
-    outcome counts instead.  The key set is pinned in the manifest, so
-    resuming with a different key set raises :class:`CheckpointError`
-    rather than mixing incompatible shards.
+    default :data:`~repro.faults.campaign.SHARD_KEYS`; the coverage
+    certifier stores per-location outcome counts instead.  The key set is
+    pinned in the manifest, so resuming with a different key set raises
+    :class:`CheckpointError` rather than mixing incompatible shards.
     """
 
     def __init__(self, directory, *, keys: tuple[str, ...] = SHARD_KEYS) -> None:

@@ -40,8 +40,8 @@ the views to a concrete batch size is a cheap per-``Simulator`` step.
 
 The steady-state fault-free cycle therefore performs **zero heap
 allocations** (asserted by ``tests/test_compiled_kernel.py``): every
-array touched — the value matrix, the gather pool, the MUX scratch, the
-DFF latch buffer — is preallocated and prebound.
+array touched — the value matrix, the gather pool, the DFF latch buffer —
+is preallocated and prebound.
 
 Fault semantics follow the shared contract (see
 :class:`~repro.netlist.simulator.Simulator`): the faulty path splits the
@@ -105,7 +105,6 @@ class CompiledProgram:
     views: tuple[tuple, ...]  # view descriptors, see _materialize_view
     index_arrays: tuple[np.ndarray, ...]  # per-level gather index arrays
     pool_rows: int  # gather pool height
-    scr_rows: int  # MUX scratch height
     dff_d_rows: np.ndarray  # (n_dffs,) intp — D-pin rows, dffs() order
     q_lo: int  # DFF output rows occupy [q_lo, q_hi) — one
     q_hi: int  # contiguous block, so the latch writes a slice
@@ -291,7 +290,6 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
 
     index_arrays: list[np.ndarray] = []
     pool_rows = 0
-    scr_rows = 0
     body: list[str] = []
     all_stmts: list[str] = []
     for level, placed in enumerate(ordered_levels):
@@ -380,7 +378,6 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
         views=tuple(views),
         index_arrays=tuple(index_arrays),
         pool_rows=pool_rows,
-        scr_rows=scr_rows,
         dff_d_rows=dff_d_rows,
         q_lo=q_lo,
         q_hi=q_hi,
@@ -391,7 +388,7 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
 
 
 def _materialize_view(
-    desc: tuple, vals: np.ndarray, pool: np.ndarray, scr: np.ndarray
+    desc: tuple, vals: np.ndarray, pool: np.ndarray
 ) -> np.ndarray:
     kind = desc[0]
     if kind == "slice":
@@ -402,10 +399,6 @@ def _materialize_view(
         return pool[desc[1] : desc[2]]
     if kind == "bcast":
         return np.broadcast_to(vals[desc[1]], (desc[2], vals.shape[1]))
-    if kind == "scr":
-        return scr[: desc[1]]
-    if kind == "scr_row":
-        return scr[0]
     raise ValueError(f"unknown view descriptor {desc!r}")  # pragma: no cover
 
 
@@ -424,10 +417,8 @@ class CompiledKernel:
         num_nets = len(program.row_of)
         self.vals = np.zeros((num_nets, n_words), dtype=np.uint64)
         self._pool = np.empty((max(program.pool_rows, 1), n_words), dtype=np.uint64)
-        self._scr = np.empty((max(program.scr_rows, 1), n_words), dtype=np.uint64)
         bound = tuple(
-            _materialize_view(d, self.vals, self._pool, self._scr)
-            for d in program.views
+            _materialize_view(d, self.vals, self._pool) for d in program.views
         )
         ns: dict = {}
         exec(program.code, {}, ns)

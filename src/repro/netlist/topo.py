@@ -88,13 +88,14 @@ def combinational_levels(circuit: "Circuit") -> list[list[Gate]]:
     Gates within one level therefore never depend on each other, which is
     what lets the levelized simulation kernel evaluate a whole level as a
     handful of batched numpy ops.  Within a level, gates keep their
-    :func:`combinational_order` relative order, so flattening the levels
-    yields a valid topological order.  ``len(levels)`` equals the
+    relative order in the circuit's cached :meth:`Circuit.topo_order`
+    (:func:`combinational_order`), so flattening the levels yields a valid
+    topological order.  ``len(levels)`` equals the
     circuit's combinational depth.
     """
     level_of: dict[int, int] = {}
     levels: list[list[Gate]] = []
-    for gate in combinational_order(circuit):
+    for gate in circuit.topo_order():
         lvl = max((level_of.get(n, -1) for n in gate.ins), default=-1) + 1
         level_of[gate.out] = lvl
         if lvl == len(levels):

@@ -11,9 +11,17 @@ gate removal) applied after every engine.
 The front door for cipher work is :func:`repro.synth.sbox_synth.synthesize_sbox`.
 """
 
-from repro.synth.bdd import BDD
-from repro.synth.optimize import optimize
-from repro.synth.sbox_synth import synthesize_sbox, verify_sbox_circuit
-from repro.synth.truthtable import TruthTable
+from repro.utils.lazy import lazy_exports
 
 __all__ = ["BDD", "TruthTable", "optimize", "synthesize_sbox", "verify_sbox_circuit"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "BDD": "repro.synth.bdd",
+        "TruthTable": "repro.synth.truthtable",
+        "optimize": "repro.synth.optimize",
+        "synthesize_sbox": "repro.synth.sbox_synth",
+        "verify_sbox_circuit": "repro.synth.sbox_synth",
+    },
+)

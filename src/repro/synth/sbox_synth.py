@@ -21,12 +21,10 @@ from collections.abc import Sequence
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.circuit import Circuit
 from repro.netlist.simulator import Simulator
-from repro.synth.bdd import bdd_synthesize_into
 from repro.synth.gatecache import GateCache
 from repro.synth.optimize import optimize
 from repro.synth.shannon import shannon_synthesize_into
 from repro.synth.truthtable import TruthTable
-from repro.synth.twolevel import twolevel_synthesize_into
 
 __all__ = ["STRATEGIES", "synthesize_sbox", "verify_sbox_circuit"]
 
@@ -70,8 +68,14 @@ def synthesize_sbox(
     if strategy == "shannon":
         outputs = shannon_synthesize_into(cache, table, inputs, var_order=var_order)
     elif strategy == "bdd":
+        # The oracle engines load only when asked for: every cipher build
+        # uses ``shannon``.
+        from repro.synth.bdd import bdd_synthesize_into
+
         outputs = bdd_synthesize_into(cache, table, inputs, var_order=var_order)
     else:
+        from repro.synth.twolevel import twolevel_synthesize_into
+
         outputs = twolevel_synthesize_into(cache, table, inputs)
     builder.output("y", outputs)
 

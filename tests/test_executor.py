@@ -451,18 +451,18 @@ class TestDeadlineFallback:
     def test_non_main_thread_degrades_with_one_log_event(self, caplog):
         import threading
 
-        from repro.faults import executor as ex
+        from repro.faults import _supervisor as supervisor
 
         results: list = []
 
         def body():
-            with ex._deadline(0.01):
+            with supervisor._deadline(0.01):
                 results.append("ran")
-            with ex._deadline(0.01):
+            with supervisor._deadline(0.01):
                 results.append("ran again")
 
-        saved = ex._timeout_warned
-        ex._timeout_warned = False
+        saved = supervisor._timeout_warned
+        supervisor._timeout_warned = False
         try:
             with caplog.at_level(
                 logging.WARNING, logger="repro.faults.executor"
@@ -471,7 +471,7 @@ class TestDeadlineFallback:
                 thread.start()
                 thread.join()
         finally:
-            ex._timeout_warned = saved
+            supervisor._timeout_warned = saved
         assert results == ["ran", "ran again"]
         messages = [
             r.getMessage()
@@ -482,10 +482,10 @@ class TestDeadlineFallback:
         assert "without a wall-clock guard" in messages[0]
 
     def test_no_timeout_means_no_guard(self):
-        from repro.faults import executor as ex
+        from repro.faults import _supervisor as supervisor
 
         for seconds in (None, 0, -1):
-            with ex._deadline(seconds):
+            with supervisor._deadline(seconds):
                 pass
 
 
@@ -595,7 +595,7 @@ class TestPrewarm:
         prewarm_backend(naive_design, "reference")  # nothing to pre-warm: a no-op
 
     def test_prewarm_failure_is_nonfatal(self, caplog):
-        from repro.faults.executor import _run_prewarm
+        from repro.faults._supervisor import _run_prewarm
 
         def broken():
             raise RuntimeError("codegen exploded")

@@ -1,10 +1,20 @@
 """A serial certify or figure process imports only what it runs.
 
-The package ``__init__`` modules re-export lazily and the executor loads
-its process pool only when it starts one, so importing the certify entry
-points and the figure runners leaves the pool machinery, the other
-ciphers, the bench ledger, the area tables and the template attack
-unloaded; running a serial certify leaves ``numpy.ma`` unloaded too.
+The package ``__init__`` modules re-export lazily, the S-box synthesiser
+loads its ``bdd`` and ``twolevel`` engines only when asked for them, and
+the executor keeps its supervisor in a module loaded by the first sweep,
+which in turn loads the checkpoint store only with a ``checkpoint_dir``
+and the process pool only when it starts one.  So:
+
+- importing the certify entry points and the figure runners leaves the
+  pool machinery, the other ciphers, the bench ledger, the area tables
+  and the template attack unloaded;
+- a serial in-process campaign also leaves the checkpoint store, the
+  chaos hooks, the progress board, the run manifest, the two oracle
+  S-box engines, ``logging`` and ``subprocess`` unloaded;
+- a serial certify also leaves ``numpy.ma``, the checkpoint store and
+  the two oracle S-box engines unloaded.
+
 Checked in a fresh interpreter, where nothing else has imported them
 first.
 """
@@ -42,6 +52,16 @@ NOT_IMPORTED = (
     "repro.tech",
 )
 
+#: a serial, uncheckpointed certify of a 3-round three-in-one PRESENT-80
+SERIAL_CERTIFY = (
+    "from repro.certify import CertifyConfig, certify_design\n"
+    "from repro.ciphers.netlist_present import PresentSpec\n"
+    "from repro.countermeasures.three_in_one import build_three_in_one\n"
+    "design = build_three_in_one(PresentSpec(rounds=3))\n"
+    "config = CertifyConfig(budget=64 * 16, runs_per_location=16)\n"
+    "assert certify_design(design, key=1, config=config).passed"
+)
+
 
 def _loaded_after(statements: str, modules=NOT_IMPORTED) -> list[str]:
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -64,21 +84,44 @@ def test_entry_points_leave_unused_modules_unloaded():
 
 
 def test_serial_certify_leaves_numpy_ma_unloaded():
-    certify = (
-        "from repro.certify import CertifyConfig, certify_design\n"
+    assert _loaded_after(SERIAL_CERTIFY, ("numpy.ma", *NOT_IMPORTED)) == []
+
+
+def test_serial_campaign_leaves_supervisor_unloaded():
+    campaign = (
         "from repro.ciphers.netlist_present import PresentSpec\n"
-        "from repro.countermeasures.three_in_one import build_three_in_one\n"
-        "design = build_three_in_one(PresentSpec(rounds=3))\n"
-        "config = CertifyConfig(budget=64 * 16, runs_per_location=16)\n"
-        "assert certify_design(design, key=1, config=config).passed"
+        "from repro.countermeasures.duplication import build_naive_duplication\n"
+        "from repro.faults import FaultSpec, FaultType, run_campaign\n"
+        "from repro.faults.models import sbox_input_net\n"
+        "design = build_naive_duplication(PresentSpec(rounds=3))\n"
+        "fault = FaultSpec.at(\n"
+        "    sbox_input_net(design.cores[0], 7, 1), FaultType.STUCK_AT_0, 1\n"
+        ")\n"
+        "result = run_campaign(design, [fault], n_runs=64, key=1, seed=2)\n"
+        "assert result.n_runs == 64"
     )
-    assert _loaded_after(certify, ("numpy.ma", *NOT_IMPORTED)) == []
+    modules = (
+        "repro.faults.checkpoint",
+        "repro.resilience.chaos",
+        "repro.telemetry.progress",
+        "repro.telemetry.manifest",
+        "repro.synth.bdd",
+        "repro.synth.twolevel",
+        "logging",
+        "subprocess",
+    )
+    assert _loaded_after(campaign, modules) == []
+
+
+def test_serial_certify_leaves_checkpoint_and_oracle_engines_unloaded():
+    modules = ("repro.faults.checkpoint", "repro.synth.bdd", "repro.synth.twolevel")
+    assert _loaded_after(SERIAL_CERTIFY, modules) == []
 
 
 @pytest.mark.parametrize(
     "package",
     ["repro.attacks", "repro.ciphers", "repro.countermeasures",
-     "repro.evaluation", "repro.telemetry"],
+     "repro.evaluation", "repro.faults", "repro.synth", "repro.telemetry"],
 )
 def test_lazy_packages_keep_every_public_name(package):
     module = importlib.import_module(package)
