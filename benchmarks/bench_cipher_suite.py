@@ -32,9 +32,7 @@ def _build_bare(spec):
     builder = CircuitBuilder(f"{spec.name}_bare")
     pt = builder.input("plaintext", spec.block_bits)
     key = builder.input("key", spec.key_bits)
-    sbox_circuit = synthesize_sbox(
-        spec.sbox.truthtable(), strategy="shannon", name=f"{spec.name}_sbox"
-    )
+    sbox_circuit = synthesize_sbox(spec.sbox.truthtable(), name=f"{spec.name}_sbox")
     spec.build_core(builder, pt, key, sbox_circuit=sbox_circuit, tag="u")
     builder.circuit.validate()
     return builder.circuit

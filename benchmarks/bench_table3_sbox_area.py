@@ -5,10 +5,10 @@ Paper (45nm Nangate):
     AES S-boxes:     8363 GE → 15327 GE (1.8×)
 
 Absolute GE depends on mapper quality (our AES S-box is a generic
-Shannon/BDD synthesis, not a hand-optimised tower-field circuit), but the
-paper's point — the merged layer costs roughly twice the duplicated plain
-layer, with AES relatively cheaper than PRESENT because the 9-input merged
-box shares more logic — is asserted on the ratios.
+Shannon-decomposition synthesis, not a hand-optimised tower-field
+circuit), but the paper's point — the merged layer costs roughly twice the
+duplicated plain layer, with AES relatively cheaper than PRESENT because
+the 9-input merged box shares more logic — is asserted on the ratios.
 """
 
 from benchmarks.conftest import bench_report, emit

@@ -8,8 +8,8 @@ The package is organised bottom-up:
 
 - :mod:`repro.netlist` — gate-level circuit IR and a bit-parallel,
   cycle-accurate simulator (the VerFI-equivalent substrate);
-- :mod:`repro.synth` — combinational synthesis from truth tables (Shannon,
-  BDD, two-level minimisation) plus netlist optimisation passes;
+- :mod:`repro.synth` — combinational synthesis from truth tables (Shannon
+  decomposition) plus netlist optimisation passes;
 - :mod:`repro.tech` — a Nangate-45nm-calibrated gate-equivalent library and
   area reporting;
 - :mod:`repro.ciphers` — PRESENT-80, AES-128 and GIFT-64 reference models and

@@ -112,9 +112,7 @@ class AesSpec(CipherSpec):
     rounds = ROUNDS
     sbox = AES_SBOX
 
-    def __init__(
-        self, *, sbox_strategy: str = "shannon", rounds: int | None = None
-    ) -> None:
+    def __init__(self, *, rounds: int | None = None) -> None:
         if rounds is not None:
             # Reduced-round instance (CI smoke sweeps, quick certifies).
             if not 1 <= rounds <= ROUNDS:
@@ -122,9 +120,7 @@ class AesSpec(CipherSpec):
             self.rounds = rounds
         # the key schedule always uses the plain S-box (paper §III: "the
         # key schedule is not affected")
-        self._key_sbox = synthesize_sbox(
-            AES_SBOX.truthtable(), strategy=sbox_strategy, name="aes_key_sbox"
-        )
+        self._key_sbox = synthesize_sbox(AES_SBOX.truthtable(), name="aes_key_sbox")
 
     def reference(self, key: int) -> AesReference:
         return AesReference(key, rounds=self.rounds)
@@ -304,23 +300,17 @@ class AesSpec(CipherSpec):
         return out
 
 
-def build_aes_circuit(
-    *,
-    sbox_strategy: str = "shannon",
-    name: str = "aes128",
-) -> tuple[Circuit, SpnCore]:
+def build_aes_circuit(*, name: str = "aes128") -> tuple[Circuit, SpnCore]:
     """A bare (unprotected) AES-128 encryption circuit.
 
     Ports: ``plaintext`` (128), ``key`` (128) → ``ciphertext`` (128);
     10 clock cycles per block.
     """
-    spec = AesSpec(sbox_strategy=sbox_strategy)
+    spec = AesSpec()
     builder = CircuitBuilder(name)
     pt = builder.input("plaintext", 128)
     key = builder.input("key", 128)
-    sbox_circuit = synthesize_sbox(
-        AES_SBOX.truthtable(), strategy=sbox_strategy, name="aes_sbox"
-    )
+    sbox_circuit = synthesize_sbox(AES_SBOX.truthtable(), name="aes_sbox")
     core = spec.build_core(builder, pt, key, sbox_circuit=sbox_circuit, tag="u")
     builder.output("ciphertext", core.ciphertext)
     builder.circuit.validate()

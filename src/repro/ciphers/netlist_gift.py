@@ -158,11 +158,7 @@ class Gift128Spec(GiftSpec):
         return mask
 
 
-def build_gift_circuit(
-    *,
-    sbox_strategy: str = "shannon",
-    name: str = "gift64",
-) -> tuple[Circuit, SpnCore]:
+def build_gift_circuit(*, name: str = "gift64") -> tuple[Circuit, SpnCore]:
     """A bare (unprotected) GIFT-64 encryption circuit.
 
     Ports: ``plaintext`` (64), ``key`` (128) → ``ciphertext`` (64); 28
@@ -172,9 +168,7 @@ def build_gift_circuit(
     builder = CircuitBuilder(name)
     pt = builder.input("plaintext", 64)
     key = builder.input("key", 128)
-    sbox_circuit = synthesize_sbox(
-        spec.sbox.truthtable(), strategy=sbox_strategy, name="gift_sbox"
-    )
+    sbox_circuit = synthesize_sbox(spec.sbox.truthtable(), name="gift_sbox")
     core = build_spn_core(
         builder, spec, pt, key, sbox_circuit=sbox_circuit, tag="u"
     )

@@ -33,9 +33,7 @@ class PresentSpec(SpnSpec):
     add_key_first = True
     final_whitening = True
 
-    def __init__(
-        self, *, sbox_strategy: str = "shannon", rounds: int | None = None
-    ) -> None:
+    def __init__(self, *, rounds: int | None = None) -> None:
         if rounds is not None:
             # Reduced-round instance (CI smoke sweeps, quick certifies).
             # The netlist stays spec-faithful per round; only the iteration
@@ -45,7 +43,7 @@ class PresentSpec(SpnSpec):
                 raise ValueError(f"rounds must be in [1, {ROUNDS}]: {rounds}")
             self.rounds = rounds
         self._key_sbox_circuit = synthesize_sbox(
-            self.sbox.truthtable(), strategy=sbox_strategy, name="present_key_sbox"
+            self.sbox.truthtable(), name="present_key_sbox"
         )
 
     def reference(self, key: int) -> Present80:
@@ -86,24 +84,18 @@ class PresentSpec(SpnSpec):
         return round_mask
 
 
-def build_present_circuit(
-    *,
-    sbox_strategy: str = "shannon",
-    name: str = "present80",
-) -> tuple[Circuit, SpnCore]:
+def build_present_circuit(*, name: str = "present80") -> tuple[Circuit, SpnCore]:
     """A bare (unprotected) PRESENT-80 encryption circuit.
 
     Ports: ``plaintext`` (64), ``key`` (80) → ``ciphertext`` (64).  Run the
     simulator for 31 cycles, then evaluate combinationally and read the
     output (see :class:`~repro.ciphers.spn.SpnCore`).
     """
-    spec = PresentSpec(sbox_strategy=sbox_strategy)
+    spec = PresentSpec()
     builder = CircuitBuilder(name)
     pt = builder.input("plaintext", 64)
     key = builder.input("key", 80)
-    sbox_circuit = synthesize_sbox(
-        spec.sbox.truthtable(), strategy=sbox_strategy, name="present_sbox"
-    )
+    sbox_circuit = synthesize_sbox(spec.sbox.truthtable(), name="present_sbox")
     core = build_spn_core(
         builder, spec, pt, key, sbox_circuit=sbox_circuit, tag="u"
     )

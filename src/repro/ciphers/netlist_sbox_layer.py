@@ -26,7 +26,6 @@ def build_sbox_layer(
     copies: int = 2,
     merged: bool = False,
     construction: str = "monolithic",
-    strategy: str = "shannon",
     name: str | None = None,
 ) -> Circuit:
     """One S-box layer, instantiated ``copies`` times over shared inputs.
@@ -38,10 +37,10 @@ def build_sbox_layer(
     is priced in isolation exactly as the paper does.
     """
     if merged:
-        unit = build_merged_sbox(sbox, construction=construction, strategy=strategy)
+        unit = build_merged_sbox(sbox, construction=construction)
         label = f"{sbox.name}_merged_layer"
     else:
-        unit = synthesize_sbox(sbox.truthtable(), strategy=strategy, name="unit")
+        unit = synthesize_sbox(sbox.truthtable(), name="unit")
         label = f"{sbox.name}_plain_layer"
     builder = CircuitBuilder(name or label)
     x = builder.input("x", sbox.n * n_boxes)

@@ -34,7 +34,6 @@ def build_acisp20(
     spec: CipherSpec,
     *,
     policy: RecoveryPolicy = RecoveryPolicy.SUPPRESS,
-    sbox_strategy: str = "shannon",
     name: str | None = None,
 ) -> ProtectedDesign:
     """Build the ACISP'20 design: independent λ per core, separate S/S̄.
@@ -52,9 +51,7 @@ def build_acisp20(
         else None
     )
 
-    sbox_circuit = build_merged_sbox(
-        spec.sbox, construction="separate", strategy=sbox_strategy
-    )
+    sbox_circuit = build_merged_sbox(spec.sbox, construction="separate")
     n_sb = spec.n_sboxes
     core_a = spec.build_core(
         builder, pt, key,

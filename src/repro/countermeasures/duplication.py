@@ -27,7 +27,6 @@ def build_naive_duplication(
     spec: CipherSpec,
     *,
     policy: RecoveryPolicy = RecoveryPolicy.SUPPRESS,
-    sbox_strategy: str = "shannon",
     name: str | None = None,
 ) -> ProtectedDesign:
     """Build the duplicate-and-compare design for ``spec``.
@@ -44,9 +43,7 @@ def build_naive_duplication(
         else None
     )
 
-    sbox_circuit = synthesize_sbox(
-        spec.sbox.truthtable(), strategy=sbox_strategy, name=f"{spec.name}_sbox"
-    )
+    sbox_circuit = synthesize_sbox(spec.sbox.truthtable(), name=f"{spec.name}_sbox")
     core_a = spec.build_core(builder, pt, key, sbox_circuit=sbox_circuit, tag="a")
     core_r = spec.build_core(builder, pt, key, sbox_circuit=sbox_circuit, tag="r")
 

@@ -40,7 +40,6 @@ def build_merged_sbox(
     sbox: SBox,
     *,
     construction: str = "monolithic",
-    strategy: str = "shannon",
     name: str | None = None,
 ) -> Circuit:
     """Build a merged S-box circuit; verified exhaustively before return."""
@@ -52,14 +51,14 @@ def build_merged_sbox(
     merged_table = sbox.merged_truthtable()
 
     if construction == "monolithic":
-        circuit = synthesize_sbox(merged_table, strategy=strategy, name=name)
+        circuit = synthesize_sbox(merged_table, name=name)
         return circuit
 
     n = sbox.n
     builder = CircuitBuilder(name)
     x = builder.input("x", n + 1)
     data, lam = x[:n], x[n]
-    plain = synthesize_sbox(sbox.truthtable(), strategy=strategy, name="plain")
+    plain = synthesize_sbox(sbox.truthtable(), name="plain")
 
     if construction == "separate":
         inverted = invert_circuit(plain, name="inverted")

@@ -55,7 +55,6 @@ def build_three_in_one(
     variant: LambdaVariant = LambdaVariant.PRIME,
     construction: str = "monolithic",
     policy: RecoveryPolicy = RecoveryPolicy.SUPPRESS,
-    sbox_strategy: str = "shannon",
     name: str | None = None,
 ) -> ProtectedDesign:
     """Build the three-in-one design for ``spec``.
@@ -81,9 +80,7 @@ def build_three_in_one(
         else None
     )
 
-    sbox_circuit = build_merged_sbox(
-        spec.sbox, construction=construction, strategy=sbox_strategy
-    )
+    sbox_circuit = build_merged_sbox(spec.sbox, construction=construction)
 
     if variant is LambdaVariant.PER_SBOX:
         lam_a = list(lam_in)

@@ -22,7 +22,6 @@ __all__ = ["build_triplication"]
 def build_triplication(
     spec: CipherSpec,
     *,
-    sbox_strategy: str = "shannon",
     name: str | None = None,
 ) -> ProtectedDesign:
     """Build the triplicate-and-vote design for ``spec``.
@@ -35,9 +34,7 @@ def build_triplication(
     pt = builder.input("plaintext", spec.block_bits)
     key = builder.input("key", spec.key_bits)
 
-    sbox_circuit = synthesize_sbox(
-        spec.sbox.truthtable(), strategy=sbox_strategy, name=f"{spec.name}_sbox"
-    )
+    sbox_circuit = synthesize_sbox(spec.sbox.truthtable(), name=f"{spec.name}_sbox")
     cores = [
         spec.build_core(builder, pt, key, sbox_circuit=sbox_circuit, tag=t)
         for t in ("a", "r", "s")

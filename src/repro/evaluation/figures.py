@@ -132,6 +132,40 @@ def sei_from_counts(counts: np.ndarray) -> float:
     return float(((p - 1.0 / len(counts)) ** 2).sum())
 
 
+def _campaign_pair(
+    label: str,
+    spec: SpnSpec | None,
+    target_sbox: int,
+    target_bit: int,
+    *,
+    both_cores: bool,
+    n_runs: int,
+    key: int,
+    seed: int,
+    executor: ExecutorConfig | None,
+    backend: str | None,
+) -> tuple[SchemeSeries, SchemeSeries]:
+    """One figure's campaign against naïve duplication (a), then ours (b).
+
+    Each scheme checkpoints under ``checkpoint_dir/<label>/<scheme>``.
+    """
+    spec = spec or PresentSpec()
+    executor = executor and executor.subdir(label)
+    with trace.span(
+        f"figures.{label}", sbox=target_sbox, bit=target_bit, n_runs=n_runs
+    ):
+        naive, ours = (
+            _series_single_fault(
+                build(spec), spec, target_sbox, target_bit,
+                n_runs=n_runs, key=key, seed=seed, both_cores=both_cores,
+                executor=executor, backend=backend,
+            )
+            # module globals, read per call: the layer timers patch them
+            for build in (build_naive_duplication, build_three_in_one)
+        )
+    return naive, ours
+
+
 def figure4(
     *,
     n_runs: int = 80_000,
@@ -150,35 +184,10 @@ def figure4(
     ``checkpoint_dir/fig4/<scheme>``; the series are bit-identical either
     way.
     """
-    spec = spec or PresentSpec()
-    executor = executor and executor.subdir("fig4")
-    with trace.span(
-        "figures.fig4", sbox=target_sbox, bit=target_bit, n_runs=n_runs
-    ):
-        naive = _series_single_fault(
-            build_naive_duplication(spec),
-            spec,
-            target_sbox,
-            target_bit,
-            n_runs=n_runs,
-            key=key,
-            seed=seed,
-            both_cores=False,
-            executor=executor,
-            backend=backend,
-        )
-        ours = _series_single_fault(
-            build_three_in_one(spec),
-            spec,
-            target_sbox,
-            target_bit,
-            n_runs=n_runs,
-            key=key,
-            seed=seed,
-            both_cores=False,
-            executor=executor,
-            backend=backend,
-        )
+    naive, ours = _campaign_pair(
+        "fig4", spec, target_sbox, target_bit, both_cores=False,
+        n_runs=n_runs, key=key, seed=seed, executor=executor, backend=backend,
+    )
     return Figure4Data(
         target_sbox=target_sbox, target_bit=target_bit, naive=naive, ours=ours
     )
@@ -199,35 +208,10 @@ def figure5(
 
     ``executor`` as in :func:`figure4`, under ``checkpoint_dir/fig5``.
     """
-    spec = spec or PresentSpec()
-    executor = executor and executor.subdir("fig5")
-    with trace.span(
-        "figures.fig5", sbox=target_sbox, bit=target_bit, n_runs=n_runs
-    ):
-        naive = _series_single_fault(
-            build_naive_duplication(spec),
-            spec,
-            target_sbox,
-            target_bit,
-            n_runs=n_runs,
-            key=key,
-            seed=seed,
-            both_cores=True,
-            executor=executor,
-            backend=backend,
-        )
-        ours = _series_single_fault(
-            build_three_in_one(spec),
-            spec,
-            target_sbox,
-            target_bit,
-            n_runs=n_runs,
-            key=key,
-            seed=seed,
-            both_cores=True,
-            executor=executor,
-            backend=backend,
-        )
+    naive, ours = _campaign_pair(
+        "fig5", spec, target_sbox, target_bit, both_cores=True,
+        n_runs=n_runs, key=key, seed=seed, executor=executor, backend=backend,
+    )
     return Figure5Data(
         target_sbox=target_sbox, target_bit=target_bit, naive=naive, ours=ours
     )

@@ -62,15 +62,11 @@ _PAPER_TABLE3 = {
 }
 
 
-def table2(
-    *,
-    library: CellLibrary = PAPER_CALIBRATED,
-    sbox_strategy: str = "shannon",
-) -> list[Table2Row]:
+def table2(*, library: CellLibrary = PAPER_CALIBRATED) -> list[Table2Row]:
     """Regenerate Table II: naïve duplication vs the three-in-one design."""
-    spec = PresentSpec(sbox_strategy=sbox_strategy)
-    naive = build_naive_duplication(spec, sbox_strategy=sbox_strategy)
-    ours = build_three_in_one(spec, sbox_strategy=sbox_strategy)
+    spec = PresentSpec()
+    naive = build_naive_duplication(spec)
+    ours = build_three_in_one(spec)
     naive_area = area_of(naive.circuit, library=library)
     ours_area = area_of(ours.circuit, library=library)
 
@@ -99,7 +95,6 @@ def table2(
 def table3(
     *,
     library: CellLibrary = PAPER_CALIBRATED,
-    sbox_strategy: str = "shannon",
     construction: str = "monolithic",
     include_aes: bool = True,
 ) -> list[Table3Row]:
@@ -113,14 +108,9 @@ def table3(
 
     rows: list[Table3Row] = []
     for cipher, sbox in ciphers:
-        plain = area_of(
-            build_sbox_layer(sbox, merged=False, strategy=sbox_strategy),
-            library=library,
-        )
+        plain = area_of(build_sbox_layer(sbox, merged=False), library=library)
         merged = area_of(
-            build_sbox_layer(
-                sbox, merged=True, construction=construction, strategy=sbox_strategy
-            ),
+            build_sbox_layer(sbox, merged=True, construction=construction),
             library=library,
         )
         for label, report in (("naive", plain), ("ours", merged)):

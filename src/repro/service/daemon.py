@@ -476,7 +476,15 @@ class CertificationService:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", 0) or 0)
+        raw_length = headers.get("content-length") or "0"
+        # RFC 9110: 1*DIGIT; anything else (a sign, "abc") is the client's fault
+        digits = raw_length.isascii() and raw_length.isdigit()
+        length = int(raw_length) if digits else -1
+        if length < 0:
+            return 400, {
+                "status": "bad_request",
+                "error": f"bad Content-Length: {raw_length!r}",
+            }, {}
         if length:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=60.0

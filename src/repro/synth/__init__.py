@@ -1,12 +1,12 @@
 """Combinational logic synthesis: truth tables to technology-mapped gates.
 
 The authors synthesised their designs with a commercial flow targeting the
-Nangate 45nm PDK; this subpackage is our open substitute.  It offers three
-synthesis engines with different area/effort trade-offs — recursive Shannon
-decomposition with hash-consing, reduced ordered BDDs lowered to mux trees,
-and a Quine–McCluskey two-level minimiser — plus netlist optimisation passes
-(constant propagation, structural hashing, inverter-pair elimination, dead
-gate removal) applied after every engine.
+Nangate 45nm PDK; this subpackage is our open substitute.  It has one
+synthesis engine, recursive Shannon decomposition with hash-consing,
+followed by netlist optimisation passes (constant propagation, structural
+hashing, inverter-pair elimination, dead gate removal).  A small ROBDD
+package (:class:`BDD`) is kept for equivalence checks; no synthesis path
+uses it.
 
 The front door for cipher work is :func:`repro.synth.sbox_synth.synthesize_sbox`.
 """

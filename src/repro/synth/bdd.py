@@ -1,13 +1,10 @@
-"""A small reduced-ordered-BDD (ROBDD) package with netlist lowering.
+"""A small reduced-ordered-BDD (ROBDD) package.
 
-Used two ways in the reproduction:
-
-- as a synthesis engine: the shared ROBDD forest of an S-box's outputs is
-  lowered node-by-node to 2:1 muxes (one mux per BDD node, shared across
-  outputs), which bounds circuit size by BDD size;
-- as an equivalence checker: two combinational functions are identical iff
-  their ROBDD roots coincide, which the test suite uses to compare
-  countermeasure S-boxes against their specification.
+Two functions built in one manager are identical iff their roots
+coincide, so the ROBDD is a canonical form for equivalence checks
+(``tests/test_bdd.py`` exercises the algebra, counting and the shared
+forest of a truth table's outputs).  No synthesis path uses it: S-boxes
+are built by :mod:`repro.synth.shannon`.
 
 Nodes are hash-consed triples ``(var, lo, hi)`` with the standard reduction
 rules (no node with ``lo == hi``, no duplicate triples).  Terminals are the
@@ -19,10 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.synth.gatecache import GateCache
 from repro.synth.truthtable import TruthTable
 
-__all__ = ["BDD", "bdd_synthesize_into"]
+__all__ = ["BDD"]
 
 ZERO = 0
 ONE = 1
@@ -203,38 +199,3 @@ class BDD:
         lo = self._from_column(lo_mask, order, level + 1)
         hi = self._from_column(hi_mask, order, level + 1)
         return self.mk(level, lo, hi)
-
-
-def bdd_synthesize_into(
-    cache: GateCache,
-    table: TruthTable,
-    input_nets: Sequence[int],
-    *,
-    var_order: Sequence[int] | None = None,
-) -> list[int]:
-    """Lower the shared ROBDD forest of ``table`` to muxes over ``input_nets``.
-
-    One mux per reachable internal node (modulo the cache's strength
-    reduction), so the emitted gate count is bounded by the forest size.
-    """
-    if len(input_nets) != table.n_inputs:
-        raise ValueError(
-            f"expected {table.n_inputs} input nets, got {len(input_nets)}"
-        )
-    n = table.n_inputs
-    order = list(var_order) if var_order is not None else list(reversed(range(n)))
-    bdd, roots = BDD.from_truthtable(table, var_order=order)
-
-    net_of: dict[int, int] = {ZERO: cache.zero, ONE: cache.one}
-
-    def lower(u: int) -> int:
-        hit = net_of.get(u)
-        if hit is not None:
-            return hit
-        level, lo, hi = bdd.node(u)
-        sel = input_nets[order[level]]
-        net = cache.g_mux(sel, lower(lo), lower(hi))
-        net_of[u] = net
-        return net
-
-    return [lower(r) for r in roots]

@@ -1,6 +1,6 @@
 """Hash-consed, folding gate construction.
 
-All synthesis engines emit gates through a :class:`GateCache`, which gives
+Shannon synthesis emits its gates through a :class:`GateCache`, which gives
 three structural optimisations for free at construction time:
 
 - **constant folding** — operations on CONST0/CONST1 collapse;

@@ -6,12 +6,10 @@ Cipher generators then stamp the result into their datapaths with
 :meth:`CircuitBuilder.append_circuit`, so each distinct S-box is synthesised
 once no matter how many instances the datapath needs.
 
-Strategies
-----------
-``shannon``   recursive Shannon decomposition (default; best all-rounder)
-``bdd``       shared-ROBDD lowering (identical sharing, useful as an oracle)
-``twolevel``  Quine–McCluskey SOP (independent oracle; big but flat)
-``auto``      synthesise with every engine and keep the smallest result
+There is one engine, recursive Shannon decomposition
+(:mod:`repro.synth.shannon`), followed by the optimisation passes of
+:mod:`repro.synth.optimize`: every table, figure, certificate and attack
+prices and faults the netlist it produces.
 """
 
 from __future__ import annotations
@@ -26,15 +24,12 @@ from repro.synth.optimize import optimize
 from repro.synth.shannon import shannon_synthesize_into
 from repro.synth.truthtable import TruthTable
 
-__all__ = ["STRATEGIES", "synthesize_sbox", "verify_sbox_circuit"]
-
-STRATEGIES = ("shannon", "bdd", "twolevel", "auto")
+__all__ = ["synthesize_sbox", "verify_sbox_circuit"]
 
 
 def synthesize_sbox(
     table: TruthTable,
     *,
-    strategy: str = "shannon",
     name: str = "sbox",
     var_order: Sequence[int] | None = None,
     optimize_result: bool = True,
@@ -43,40 +38,15 @@ def synthesize_sbox(
 
     The returned circuit is verified exhaustively against the table before
     being handed back — a wrong netlist is a bug, not a degraded result, so
-    this raises rather than warns.
+    this raises rather than warns.  ``var_order`` is passed to
+    :func:`~repro.synth.shannon.shannon_synthesize_into`;
+    ``optimize_result=False`` returns the unoptimised decomposition.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-    if strategy == "auto":
-        candidates = [
-            synthesize_sbox(
-                table,
-                strategy=s,
-                name=name,
-                var_order=var_order,
-                optimize_result=optimize_result,
-            )
-            for s in ("shannon", "bdd", "twolevel")
-        ]
-        from repro.tech.area import area_of
-
-        return min(candidates, key=lambda c: area_of(c).total)
-
     builder = CircuitBuilder(name)
     inputs = builder.input("x", table.n_inputs)
-    cache = GateCache(builder)
-    if strategy == "shannon":
-        outputs = shannon_synthesize_into(cache, table, inputs, var_order=var_order)
-    elif strategy == "bdd":
-        # The oracle engines load only when asked for: every cipher build
-        # uses ``shannon``.
-        from repro.synth.bdd import bdd_synthesize_into
-
-        outputs = bdd_synthesize_into(cache, table, inputs, var_order=var_order)
-    else:
-        from repro.synth.twolevel import twolevel_synthesize_into
-
-        outputs = twolevel_synthesize_into(cache, table, inputs)
+    outputs = shannon_synthesize_into(
+        GateCache(builder), table, inputs, var_order=var_order
+    )
     builder.output("y", outputs)
 
     circuit = builder.circuit

@@ -3,7 +3,7 @@
 A :class:`TruthTable` stores, for each of the ``2**n`` input patterns, the
 ``m``-bit output word.  Single outputs are also exposed as *column masks* —
 ``2**n``-bit Python integers where bit ``x`` is output bit ``j`` on input
-``x`` — which is the representation the synthesis engines recurse on
+``x`` — which is the representation Shannon synthesis recurses on
 (cofactoring a column mask is bit slicing, which arbitrary-precision ints do
 for free).
 """
@@ -93,7 +93,7 @@ class TruthTable:
         return [self.column(j) for j in range(self.n_outputs)]
 
     def minterms(self, j: int) -> list[int]:
-        """Input patterns where output ``j`` is 1 (for two-level synthesis)."""
+        """Input patterns where output ``j`` is 1."""
         col = self.column(j)
         return [x for x in range(1 << self.n_inputs) if (col >> x) & 1]
 

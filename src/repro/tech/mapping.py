@@ -1,6 +1,6 @@
 """Technology mapping: GE-driven local rewrites.
 
-The synthesis engines emit AND/OR/NOT-heavy logic; a standard-cell mapper
+The synthesiser emits AND/OR/NOT-heavy logic; a standard-cell mapper
 would fuse inverters into the cheaper NAND/NOR cells (1.00 GE vs
 1.33 + 0.67).  This pass performs the classic fusions, each applied only
 when it reduces the priced area:

@@ -60,7 +60,7 @@ def summarize(records: list[dict]) -> dict:
     manifest: dict = {}
     metrics_snapshot: dict = {}
     retries = 0
-    failures = 0
+    quarantined = 0
     pids: set[int] = set()
 
     for record in records:
@@ -90,12 +90,13 @@ def summarize(records: list[dict]) -> dict:
                 progress_last[attrs.get("label", "progress")] = attrs
             elif name == "shard.retry":
                 retries += 1
-            elif name == "shard.failed":
-                failures += 1
+            elif name == "shard.quarantined":
+                quarantined += 1
 
-    retries = max(
-        retries,
-        int(metrics_snapshot.get("counters", {}).get("executor.shards_retried", 0)),
+    counters = metrics_snapshot.get("counters", {})
+    retries = max(retries, int(counters.get("executor.shards_retried", 0)))
+    quarantined = max(
+        quarantined, int(counters.get("executor.shards_quarantined", 0))
     )
     for agg in spans.values():
         agg["total_s"] = round(agg["total_s"], 6)
@@ -110,7 +111,7 @@ def summarize(records: list[dict]) -> dict:
         ),
         "events": dict(sorted(events.items())),
         "retries": retries,
-        "failed_shards": failures,
+        "failed_shards": quarantined,
         "progress": progress_last,
         "metrics": metrics_snapshot,
     }

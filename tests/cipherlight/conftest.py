@@ -53,9 +53,7 @@ def build_bare(spec):
     builder = CircuitBuilder(f"{spec.name}_bare")
     pt = builder.input("plaintext", spec.block_bits)
     key = builder.input("key", spec.key_bits)
-    sbox_circuit = synthesize_sbox(
-        spec.sbox.truthtable(), strategy="shannon", name=f"{spec.name}_sbox"
-    )
+    sbox_circuit = synthesize_sbox(spec.sbox.truthtable(), name=f"{spec.name}_sbox")
     core = spec.build_core(builder, pt, key, sbox_circuit=sbox_circuit, tag="u")
     builder.output("ciphertext", core.ciphertext)
     builder.circuit.validate()

@@ -1,8 +1,7 @@
 """A serial certify or figure process imports only what it runs.
 
 The package ``__init__`` modules re-export lazily, the S-box synthesiser
-loads its ``bdd`` and ``twolevel`` engines only when asked for them, and
-the executor keeps its supervisor in a module loaded by the first sweep,
+never loads the ``bdd`` package, and the executor keeps its supervisor in a module loaded by the first sweep,
 which in turn loads the checkpoint store only with a ``checkpoint_dir``
 and the process pool only when it starts one.  So:
 
@@ -10,10 +9,10 @@ and the process pool only when it starts one.  So:
   pool machinery, the other ciphers, the bench ledger, the area tables
   and the template attack unloaded;
 - a serial in-process campaign also leaves the checkpoint store, the
-  chaos hooks, the progress board, the run manifest, the two oracle
-  S-box engines, ``logging`` and ``subprocess`` unloaded;
+  chaos hooks, the progress board, the run manifest, the ``bdd``
+  package, ``logging`` and ``subprocess`` unloaded;
 - a serial certify also leaves ``numpy.ma``, the checkpoint store and
-  the two oracle S-box engines unloaded.
+  the ``bdd`` package unloaded.
 
 Checked in a fresh interpreter, where nothing else has imported them
 first.
@@ -106,7 +105,6 @@ def test_serial_campaign_leaves_supervisor_unloaded():
         "repro.telemetry.progress",
         "repro.telemetry.manifest",
         "repro.synth.bdd",
-        "repro.synth.twolevel",
         "logging",
         "subprocess",
     )
@@ -114,7 +112,7 @@ def test_serial_campaign_leaves_supervisor_unloaded():
 
 
 def test_serial_certify_leaves_checkpoint_and_oracle_engines_unloaded():
-    modules = ("repro.faults.checkpoint", "repro.synth.bdd", "repro.synth.twolevel")
+    modules = ("repro.faults.checkpoint", "repro.synth.bdd")
     assert _loaded_after(SERIAL_CERTIFY, modules) == []
 
 

@@ -600,6 +600,24 @@ class TestHttpSurface:
             assert status == 404 and doc["status"] == "not_found"
             assert doc["key"] == "deadbeef"
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400_not_a_crash(self, tmp_path, caplog, length):
+        with running(tmp_path / "store") as (service, client):
+            with socket.create_connection(("127.0.0.1", service.port), 10) as sock:
+                sock.sendall(
+                    f"POST /certify HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {length}\r\n\r\n{{}}".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        doc = json.loads(body)
+        assert doc["status"] == "bad_request"
+        assert length in doc["error"]
+        assert "request handler crashed" not in caplog.text
+
     def test_every_response_carries_the_server_assigned_request_id(
         self, tmp_path, direct_cert
     ):

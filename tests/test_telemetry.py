@@ -523,6 +523,22 @@ class TestStats:
         assert summary["failed_shards"] == 0
         assert summary["progress"]["certify"]["done"] == 128
 
+    def test_quarantined_shards_count_as_failed(self):
+        # the supervisor's quarantine event, as ``_quarantine`` emits it
+        event = {
+            "type": "event", "name": "shard.quarantined",
+            "attrs": {"shard": 3, "attempts": 3, "error_kind": "crash"},
+        }
+        summary = summarize([event, dict(event, attrs={"shard": 5})])
+        assert summary["failed_shards"] == 2
+        assert "2 failed permanently" in render_stats(summary)
+        # a trace that kept only the final metrics falls back to the counter
+        metrics = {
+            "type": "metrics",
+            "metrics": {"counters": {"executor.shards_quarantined": 4}},
+        }
+        assert summarize([metrics])["failed_shards"] == 4
+
     def test_render_stats_digest(self, recorded_trace):
         text = render_stats(summarize(load_trace(recorded_trace)))
         assert "command=certify" in text
