@@ -43,9 +43,10 @@ from repro.certify.space import (
 from repro.countermeasures.base import ProtectedDesign
 from repro.faults.campaign import RangeRun, run_campaign
 from repro.faults.classification import Outcome, classify
-from repro.faults.executor import ExecutorConfig, prewarm_backend, run_sharded
+from repro.faults.executor import ExecutorConfig, run_sharded
 from repro.faults.models import FaultScenario
 from repro.netlist.analysis import lint_countermeasure
+from repro.netlist.simulator import resolve_backend
 from repro.telemetry import metrics, run_manifest, trace
 
 __all__ = ["CERTIFY_KEYS", "CertifyConfig", "certify_design", "replay_witness"]
@@ -62,11 +63,12 @@ WITNESS_CAP = 32
 class CertifyConfig:
     """Knobs of a certify run."""
 
-    #: total faulted-run budget; None = exhaustive sweep of the space.
-    #: A budget smaller than the space degrades to a stratified sample —
-    #: reported as such in the certificate, never silently.
+    #: total faulted-run budget (a positive int); None = exhaustive sweep
+    #: of the space.  A budget smaller than the space degrades to a
+    #: stratified sample — reported as such in the certificate, never
+    #: silently.
     budget: int | None = None
-    #: randomised invocations per fault location
+    #: randomised invocations per fault location (a positive int)
     runs_per_location: int = 64
     #: adversarial models to sweep (see :mod:`repro.certify.space`)
     models: tuple[str, ...] = DEFAULT_MODELS
@@ -78,11 +80,6 @@ class CertifyConfig:
     fail_fast: bool = False
     #: locations per executor shard
     shard_locations: int = 64
-    #: simulation kernel for the sweep ("levelized"/"compiled"/"reference";
-    #: None = simulator default).  Bit-exact whichever is chosen — a
-    #: certificate's verdict never depends on the backend, only its
-    #: wall-clock does.
-    backend: str | None = None
     # -- resilient-executor passthrough
     jobs: int = 1
     checkpoint_dir: object = None
@@ -92,6 +89,16 @@ class CertifyConfig:
     #: with explicit uncovered-fault-space accounting (never an abort)
     wall_budget: float | None = None
 
+    def __post_init__(self) -> None:
+        _require_positive_int("runs_per_location", self.runs_per_location)
+        if self.budget is not None:
+            _require_positive_int("budget", self.budget)
+
+
+def _require_positive_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
 
 def _certify_task(
     design: ProtectedDesign,
@@ -100,7 +107,6 @@ def _certify_task(
     key: int,
     seed: int,
     runs: int,
-    backend: str | None,
     lo: int,
     hi: int,
 ) -> dict[str, np.ndarray]:
@@ -114,9 +120,7 @@ def _certify_task(
     sel = np.asarray(indices[lo:hi], dtype=np.int64)
     counts = np.zeros((len(sel), len(Outcome)), dtype=np.int64)
     witness = np.full(len(sel), -1, dtype=np.int64)
-    run = RangeRun(
-        design, design.simulator(runs, backend=backend), key=key, seed=seed, lo=0
-    )
+    run = RangeRun(design, design.simulator(runs), key=key, seed=seed, lo=0)
     exp = run.expected
     for row, index in enumerate(sel):
         scenario = space.scenario(int(index))
@@ -173,7 +177,7 @@ def certify_design(
         kind="certify",
         scheme=design.scheme,
         variant=design.variant,
-        backend=config.backend,
+        backend=resolve_backend(None),
         jobs=config.jobs,
         seed=config.seed,
     )
@@ -279,7 +283,6 @@ def certify_design(
         key,
         config.seed,
         runs,
-        config.backend,
     )
     with trace.span(
         "certify.sweep",
@@ -296,10 +299,7 @@ def certify_design(
                 checkpoint_dir=config.checkpoint_dir,
                 resume=config.resume,
                 wall_budget=config.wall_budget,
-                prewarm=functools.partial(
-                    prewarm_backend, design, config.backend
-                ),
-            ),
+            ).prewarming(design),
             identity=identity,
             keys=CERTIFY_KEYS,
             on_shard_done=_shard_found_witness if config.fail_fast else None,

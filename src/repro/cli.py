@@ -13,8 +13,8 @@ Usage (after ``pip install -e .``)::
     python -m repro submit --url http://127.0.0.1:8642 --budget 50000
     python -m repro sca    --traces 500
     python -m repro encrypt --key 0x0123456789abcdef0123 --pt 0xcafebabe
-    python -m repro fig4 --runs 4000 --backend reference   # per-gate oracle kernel
-    python -m repro fig4 --runs 80000 --backend compiled   # AOT-codegen kernel
+    REPRO_SIM_BACKEND=reference python -m repro fig4 --runs 4000   # per-gate oracle kernel
+    REPRO_SIM_BACKEND=compiled python -m repro fig4 --runs 80000   # AOT-codegen kernel
 
 Each subcommand prints the same artefact the corresponding benchmark
 produces; the CLI exists so a reader can poke at the reproduction without
@@ -96,7 +96,6 @@ def _cmd_fig4(args) -> int:
         n_runs=args.runs,
         seed=args.seed,
         executor=_executor_config(args),
-        backend=args.backend,
     )
     print(f"Fig. 4 — stuck-at-0 at S-box {fig.target_sbox} bit {fig.target_bit}, "
           f"last round, {args.runs} runs")
@@ -116,7 +115,6 @@ def _cmd_fig5(args) -> int:
         n_runs=args.runs,
         seed=args.seed,
         executor=_executor_config(args),
-        backend=args.backend,
     )
     print(f"Fig. 5 — identical stuck-at-0 at S-box {fig.target_sbox} bit "
           f"{fig.target_bit} in both computations, {args.runs} runs")
@@ -207,21 +205,24 @@ def _build_scheme(scheme: str, *, cipher: str, variant: str, rounds: int | None)
 def _cmd_certify(args) -> int:
     from repro.certify import DEFAULT_MODELS, CertifyConfig, certify_design
 
+    try:
+        config = CertifyConfig(
+            budget=args.budget,
+            runs_per_location=args.runs_per_location,
+            models=tuple(args.models.split(",")) if args.models else DEFAULT_MODELS,
+            cycles=tuple(int(c) for c in args.cycles.split(",")) if args.cycles else None,
+            seed=args.seed,
+            fail_fast=args.fail_fast,
+            jobs=args.jobs or 1,
+            checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
+            wall_budget=args.wall_budget,
+        )
+    except ValueError as exc:
+        print(f"invalid certify options: {exc}", file=sys.stderr)
+        return 2
     design = _build_scheme(
         args.scheme, cipher=args.cipher, variant=args.variant, rounds=args.rounds
-    )
-    config = CertifyConfig(
-        budget=args.budget,
-        runs_per_location=args.runs_per_location,
-        models=tuple(args.models.split(",")) if args.models else DEFAULT_MODELS,
-        cycles=tuple(int(c) for c in args.cycles.split(",")) if args.cycles else None,
-        seed=args.seed,
-        fail_fast=args.fail_fast,
-        backend=args.backend,
-        jobs=args.jobs or 1,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-        wall_budget=args.wall_budget,
     )
     certificate = certify_design(design, key=int(args.key, 0), config=config)
     print(certificate.summary())
@@ -293,7 +294,6 @@ def _cmd_submit(args) -> int:
         ),
         "seed": args.seed,
         "key": args.key,
-        "backend": args.backend,
         "deadline_s": args.deadline,
     }
     try:
@@ -328,8 +328,7 @@ def _cmd_submit(args) -> int:
     print(certificate.summary())
     cached = doc.get("cached")
     print(
-        f"key: {doc['key']}"
-        + (f"  (cache hit: {cached})" if cached else f"  (backend: {doc.get('backend')})"),
+        f"key: {doc['key']}" + (f"  (cache hit: {cached})" if cached else ""),
         file=sys.stderr,
     )
     if args.out:
@@ -467,7 +466,7 @@ def _cmd_encrypt(args) -> int:
     key = int(args.key, 0)
     pt = int(args.pt, 0)
     design = build_three_in_one(spec)
-    sim = design.simulator(1, backend=args.backend)
+    sim = design.simulator(1)
     result = design.run(sim, [pt], key, rng=args.seed)
     ct = sum(int(b) << i for i, b in enumerate(result["ciphertext"][0]))
     expected = spec.reference(key).encrypt(pt)
@@ -488,18 +487,6 @@ def _cmd_stats(args) -> int:
         return 1
     print(render_stats(summarize(records), top=args.top))
     return 0
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    from repro.netlist.simulator import BACKENDS
-
-    parser.add_argument(
-        "--backend", default=None, choices=list(BACKENDS),
-        help="simulation kernel: levelized (fast, default), compiled "
-        "(fastest, AOT-generated) or reference (per-gate oracle); "
-        "results are bit-identical and a served campaign runs on exactly "
-        "the kernel named",
-    )
 
 
 def _cipher_name(value: str) -> str:
@@ -582,8 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=4)
         if name != "sweep":
             _add_executor_args(p)
-        if name in ("fig4", "fig5"):
-            _add_backend_arg(p)
         if name == "matrix":
             _add_cipher_arg(p)
         p.set_defaults(fn=fn)
@@ -639,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock budget in seconds; on exhaustion the sweep stops "
         "scheduling and emits a valid partial (degraded) certificate",
     )
-    _add_backend_arg(pcert)
     pcert.set_defaults(fn=_cmd_certify)
 
     pverify = sub.add_parser(
@@ -721,7 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="--no-wait returns immediately after admission (202) with the "
         "request id; follow progress via 'repro top' or GET /status",
     )
-    _add_backend_arg(psubmit)
     psubmit.set_defaults(fn=_cmd_submit)
 
     ptop = sub.add_parser(
@@ -748,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     penc.add_argument("--key", default="0x0123456789abcdef0123")
     penc.add_argument("--pt", default="0xcafebabedeadbeef")
     penc.add_argument("--seed", type=int, default=1)
-    _add_backend_arg(penc)
     penc.set_defaults(fn=_cmd_encrypt)
 
     pstats = sub.add_parser(
@@ -886,14 +868,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args)
     # Eager environment validation: a typo'd REPRO_CHAOS schedule or
-    # REPRO_SIM_BACKEND backend name fails here, loudly, before any work —
+    # REPRO_SIM_BACKEND kernel name fails here, loudly, before any work —
     # not deep inside a campaign (or silently never firing at all).
     try:
         from repro.netlist.simulator import resolve_backend
         from repro.resilience.chaos import ChaosSpec
 
         ChaosSpec.from_env()
-        resolve_backend(None)
+        backend = resolve_backend(None)
     except ValueError as exc:
         print(f"invalid environment: {exc}", file=sys.stderr)
         return 2
@@ -902,7 +884,8 @@ def main(argv: list[str] | None = None) -> int:
         trace.configure(
             trace_path,
             manifest=run_manifest(
-                kind="cli", command=args.command, argv=list(argv or sys.argv[1:])
+                kind="cli", command=args.command, backend=backend,
+                argv=list(argv or sys.argv[1:]),
             ),
         )
     # One-shot commands get a synthetic request id so their records are

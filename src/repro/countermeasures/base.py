@@ -98,7 +98,8 @@ class ProtectedDesign:
         """A fresh simulator sized for ``batch`` parallel invocations.
 
         ``backend`` selects the evaluation kernel (``"levelized"`` /
-        ``"compiled"`` / ``"reference"``); None uses the simulator default.
+        ``"compiled"`` / ``"reference"``); None uses ``REPRO_SIM_BACKEND``
+        or, without it, the simulator default.
         Results are bit-identical whichever is chosen.  One simulator
         serves any number of :meth:`run` calls.
         """

@@ -83,7 +83,6 @@ def _series_single_fault(
     seed: int,
     both_cores: bool,
     executor: ExecutorConfig | None = None,
-    backend: str | None = None,
 ) -> SchemeSeries:
     specs = []
     cores = design.cores if both_cores else design.cores[:1]
@@ -109,7 +108,6 @@ def _series_single_fault(
             n_runs=n_runs,
             key=key,
             seed=seed,
-            backend=backend,
             executor=executor and executor.subdir(design.scheme),
         )
     dist = ineffective_distribution(result, spec, sbox)
@@ -143,7 +141,6 @@ def _campaign_pair(
     key: int,
     seed: int,
     executor: ExecutorConfig | None,
-    backend: str | None,
 ) -> tuple[SchemeSeries, SchemeSeries]:
     """One figure's campaign against naïve duplication (a), then ours (b).
 
@@ -158,7 +155,7 @@ def _campaign_pair(
             _series_single_fault(
                 build(spec), spec, target_sbox, target_bit,
                 n_runs=n_runs, key=key, seed=seed, both_cores=both_cores,
-                executor=executor, backend=backend,
+                executor=executor,
             )
             # module globals, read per call: the layer timers patch them
             for build in (build_naive_duplication, build_three_in_one)
@@ -175,7 +172,6 @@ def figure4(
     target_bit: int = 2,
     spec: SpnSpec | None = None,
     executor: ExecutorConfig | None = None,
-    backend: str | None = None,
 ) -> Figure4Data:
     """Regenerate Fig. 4 (single-core stuck-at-0, SIFA bias).
 
@@ -186,7 +182,7 @@ def figure4(
     """
     naive, ours = _campaign_pair(
         "fig4", spec, target_sbox, target_bit, both_cores=False,
-        n_runs=n_runs, key=key, seed=seed, executor=executor, backend=backend,
+        n_runs=n_runs, key=key, seed=seed, executor=executor,
     )
     return Figure4Data(
         target_sbox=target_sbox, target_bit=target_bit, naive=naive, ours=ours
@@ -202,7 +198,6 @@ def figure5(
     target_bit: int = 1,
     spec: SpnSpec | None = None,
     executor: ExecutorConfig | None = None,
-    backend: str | None = None,
 ) -> Figure5Data:
     """Regenerate Fig. 5 (identical stuck-at-0 in both computations).
 
@@ -210,7 +205,7 @@ def figure5(
     """
     naive, ours = _campaign_pair(
         "fig5", spec, target_sbox, target_bit, both_cores=True,
-        n_runs=n_runs, key=key, seed=seed, executor=executor, backend=backend,
+        n_runs=n_runs, key=key, seed=seed, executor=executor,
     )
     return Figure5Data(
         target_sbox=target_sbox, target_bit=target_bit, naive=naive, ours=ours

@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -190,7 +190,6 @@ def run_range(
     lo: int,
     hi: int,
     chunk: int = CHUNK,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate runs ``[lo, hi)`` of the campaign keyed by ``seed``.
 
@@ -201,8 +200,6 @@ def run_range(
     rounded down to a whole number of RNG blocks and only bounds simulator
     memory).  One simulator serves every chunk of the same size, so a
     range builds at most two (full chunks and a partial final one).
-    ``backend`` selects the simulation kernel; like ``chunk`` it never
-    affects the bits (the backends are bit-exact by contract), only speed.
     """
     width = (design.spec.block_bits + 7) // 8
     chunk = max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
@@ -218,7 +215,7 @@ def run_range(
             stop = min(start + chunk, hi)
             if sim is None or sim.batch != stop - start:
                 sim = run = None  # free the old simulator before sizing a new one
-                sim = design.simulator(stop - start, backend=backend)
+                sim = design.simulator(stop - start)
             run = RangeRun(design, sim, key=key, seed=seed, lo=start)
             rows = slice(start - lo, stop - lo)
             pt[rows] = run.plaintext
@@ -314,7 +311,8 @@ class CampaignResult:
         Large campaigns take a while to run; saving lets attack analyses be
         re-run offline.  Fault specs are stored as JSON documents
         (:meth:`FaultSpec.to_dict`) and reconstructed on load; the words
-        are stored as byte rows.
+        are stored as byte rows and ``extra`` as one JSON document, so a
+        partial campaign loads as partial.
         """
         np.savez_compressed(
             path,
@@ -329,6 +327,7 @@ class CampaignResult:
             expected=self.expected,
             fault_flags=self.fault_flags,
             outcomes=self.outcomes,
+            extra=np.array(json.dumps(self.extra, sort_keys=True, default=str)),
         )
 
     @classmethod
@@ -339,7 +338,7 @@ class CampaignResult:
         written by older versions stored ``repr`` strings instead; those
         are kept verbatim under ``extra["loaded_specs"]``.  Older archives
         also stored the words as bit matrices (``*_bits`` keys); those are
-        packed on load.
+        packed on load.  Archives without ``extra`` load with an empty one.
         """
         with np.load(path, allow_pickle=False) as archive:
             data = {k: archive[k] for k in archive.files}
@@ -357,7 +356,9 @@ class CampaignResult:
                 specs.append(FaultSpec.from_dict(json.loads(str(text))))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 legacy.append(str(text))
-        extra: dict = {"loaded_specs": legacy} if legacy else {}
+        extra = json.loads(str(data["extra"])) if "extra" in data else {}
+        if legacy:
+            extra["loaded_specs"] = legacy
         return cls(
             scheme=str(data["scheme"]),
             key=int(str(data["key"])),
@@ -397,14 +398,11 @@ def _campaign_task(
     specs: list[FaultSpec],
     key: int,
     seed: int,
-    backend: str | None,
     lo: int,
     hi: int,
 ) -> dict[str, np.ndarray]:
     """Shard task of a fault campaign: simulate runs ``[lo, hi)``."""
-    arrays = run_range(
-        design, specs, key=key, seed=seed, lo=lo, hi=hi, backend=backend
-    )
+    arrays = run_range(design, specs, key=key, seed=seed, lo=lo, hi=hi)
     return dict(zip(SHARD_KEYS, arrays))
 
 
@@ -415,7 +413,6 @@ def _run_sharded(
     n_runs: int,
     key: int,
     seed: int,
-    backend: str | None,
     config: ExecutorConfig,
     shard_hook: ShardHook | None,
 ) -> tuple[dict[str, np.ndarray], dict]:
@@ -424,21 +421,16 @@ def _run_sharded(
     # the executor, raises a serial campaign process's peak RSS.
     import logging
 
-    from repro.faults.executor import prewarm_backend, run_sharded
+    from repro.faults.executor import run_sharded
 
-    if config.prewarm is None:
-        config = replace(
-            config, prewarm=functools.partial(prewarm_backend, design, backend)
-        )
+    config = config.prewarming(design)
     shard_runs = max(
         RNG_BLOCK, config.shard_runs - config.shard_runs % RNG_BLOCK
     )
     ranges = [
         (lo, min(lo + shard_runs, n_runs)) for lo in range(0, n_runs, shard_runs)
     ]
-    task = functools.partial(
-        _campaign_task, design, list(specs), key, seed, backend
-    )
+    task = functools.partial(_campaign_task, design, list(specs), key, seed)
     identity = campaign_identity(
         design, specs, key=key, seed=seed, n_runs=n_runs, shard_runs=shard_runs
     )
@@ -490,7 +482,6 @@ def run_campaign(
     n_runs: int = 80_000,
     key: int,
     seed: int = 1,
-    backend: str | None = None,
     executor: ExecutorConfig | None = None,
     shard_hook: ShardHook | None = None,
 ) -> CampaignResult:
@@ -504,10 +495,10 @@ def run_campaign(
     **Determinism contract:** the result arrays depend only on
     ``(design, specs, key, seed, n_runs)``.  All randomness is drawn from
     per-block substreams keyed by ``(seed, run_index // RNG_BLOCK)``, so
-    ``backend``, ``executor`` and crash/resume history affect only memory
-    and wall-clock, never the bits (simulator backends are bit-exact
-    against each other; checkpoints are therefore backend-agnostic, and
-    ``backend`` is not part of a checkpoint's identity).
+    ``executor``, crash/resume history and the simulation kernel (chosen
+    by ``REPRO_SIM_BACKEND``; the kernels are bit-exact against each
+    other, so no checkpoint records it) affect only memory and wall-clock,
+    never the bits.
 
     With ``executor=None`` the campaign runs in-process.  Any
     :class:`~repro.faults.executor.ExecutorConfig` runs it through the
@@ -524,14 +515,12 @@ def run_campaign(
         with trace.span(
             "campaign.run", scheme=design.scheme, n_runs=n_runs, seed=seed
         ):
-            arrays = _campaign_task(
-                design, specs, key, seed, backend, 0, max(n_runs, 0)
-            )
+            arrays = _campaign_task(design, specs, key, seed, 0, max(n_runs, 0))
             outcomes = _classify(design, arrays)
         extra = {"variant": design.variant, "n_runs": n_runs}
     else:
         arrays, extra = _run_sharded(
-            design, specs, n_runs=n_runs, key=key, seed=seed, backend=backend,
+            design, specs, n_runs=n_runs, key=key, seed=seed,
             config=executor, shard_hook=shard_hook,
         )
         outcomes = _classify(design, arrays)

@@ -60,6 +60,7 @@ sweep the checkpoint store loads only when a ``checkpoint_dir`` is set,
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
@@ -150,10 +151,19 @@ class ExecutorConfig:
             return self
         return replace(self, checkpoint_dir=Path(self.checkpoint_dir, *names))
 
+    def prewarming(self, design: ProtectedDesign) -> ExecutorConfig:
+        """This config, pre-warming ``design``'s kernel unless it already
+        sets a ``prewarm``."""
+        if self.prewarm is not None:
+            return self
+        return replace(self, prewarm=functools.partial(prewarm_backend, design))
 
-def prewarm_backend(design: ProtectedDesign, backend: str | None) -> None:
+
+def prewarm_backend(design: ProtectedDesign, backend: str | None = None) -> None:
     """Compile ``design``'s kernel schedule/program for ``backend`` now.
 
+    ``None`` resolves when the call runs, so a pool worker warms the
+    kernel its simulators will use (``REPRO_SIM_BACKEND`` or the default).
     Module-level (hence picklable via :func:`functools.partial`) so it can
     ride in the pool-worker init payload: the compiled backend's AOT
     codegen — the expensive case — happens once per worker process before

@@ -5,9 +5,8 @@ service: overlapping fault-space sweeps from many clients dedupe onto one
 simulation through a crash-recoverable content-addressed store, load is
 shed with structured backpressure instead of queueing without bound,
 deadlines degrade to valid partial certificates, a failed campaign is
-reported with its typed error on the backend it asked for, and SIGTERM
-drains gracefully.  See :mod:`repro.service.daemon` for the full
-robustness contract.
+reported with its typed error, and SIGTERM drains gracefully.  See
+:mod:`repro.service.daemon` for the full robustness contract.
 """
 
 from repro.service.client import ServiceClient, ServiceError

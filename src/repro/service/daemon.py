@@ -36,11 +36,13 @@ onto the executor's ``wall_budget``: when it expires the campaign stops
 scheduling shards and emits a *valid degraded* certificate with explicit
 uncovered-space accounting, and its checkpoints stay resumable.
 
-**Failures stay where they happened** — a campaign always runs on the
-backend its request names.  The kernels are bit-exact, so a kernel bug
-is deterministic: rerouting would hide it and would swap the simulator
-behind a certificate's evidence.  A failed campaign answers ``500``
-with its :class:`~repro.resilience.errors.ErrorKind` and is tallied in
+**Failures stay where they happened** — every campaign runs on the
+daemon's one kernel (``REPRO_SIM_BACKEND``, validated at start-up), and
+a failed one is never retried elsewhere.  The kernels are bit-exact, so
+a kernel bug is deterministic: rerouting would hide it and would swap
+the simulator behind a certificate's evidence, which its run manifest
+names.  A failed campaign answers ``500`` with its
+:class:`~repro.resilience.errors.ErrorKind` and is tallied in
 ``campaigns_failed`` and per kind under ``failures_by_kind``.
 
 **Graceful drain** — SIGTERM/SIGINT stops admission (``503 draining``),
@@ -211,7 +213,6 @@ class CertificationService:
             models=norm.models,
             cycles=norm.cycles,
             seed=norm.seed,
-            backend=norm.backend,
             jobs=self.config.jobs,
             checkpoint_dir=str(self.store.work_dir(key)),
             resume=True,
@@ -241,7 +242,6 @@ class CertificationService:
                 self._queue.task_done()
 
     async def _execute(self, key, norm, design, future, rid) -> None:
-        backend = norm.backend
         self._count("campaigns_started")
         entry = self._requests.get(rid)
         if entry is not None:
@@ -249,7 +249,7 @@ class CertificationService:
             entry["started_t"] = round(time.time(), 3)
         with trace.span(
             "service.campaign", key=key[:16], scheme=norm.scheme,
-            backend=backend, request_id=rid,
+            request_id=rid,
         ) as campaign_span:
             parent_span = getattr(campaign_span, "span_id", None)
             try:
@@ -260,8 +260,8 @@ class CertificationService:
                 kind = str(classify_error(exc))
                 self._count_failure(kind)
                 log.error(
-                    "campaign %s failed on %s/%s [%s]: %s",
-                    key[:16], design.spec.name, backend, kind, exc,
+                    "campaign %s failed on %s [%s]: %s",
+                    key[:16], design.spec.name, kind, exc,
                 )
                 if not future.done():
                     future.set_exception(exc)
@@ -283,7 +283,7 @@ class CertificationService:
             if certificate.degraded:
                 self._count("campaigns_degraded")
         if not future.done():
-            future.set_result((certificate, backend))
+            future.set_result(certificate)
 
     # -------------------------------------------------------------- request
 
@@ -355,7 +355,6 @@ class CertificationService:
             "state": "queued",
             "scheme": request.scheme,
             "cipher": request.cipher,
-            "backend": request.backend,
             "queued_t": round(time.time(), 3),
         }
         trace.event(
@@ -389,7 +388,7 @@ class CertificationService:
             entry["state"] = "failed"
             entry["error"] = f"{type(exc).__name__}: {exc}"
         else:
-            certificate, _ = future.result()
+            certificate = future.result()
             entry["state"] = "degraded" if certificate.degraded else "done"
             entry["passed"] = certificate.passed
         trace.event(
@@ -399,21 +398,20 @@ class CertificationService:
 
     async def _await_result(self, key, future, *, cached) -> tuple[int, dict]:
         try:
-            certificate, backend = await asyncio.shield(future)
+            certificate = await asyncio.shield(future)
         except Exception as exc:
             return 500, {
                 "status": "error",
                 "error": f"{type(exc).__name__}: {exc}",
                 "error_kind": str(classify_error(exc)),
             }
-        return 200, self._done(key, certificate, cached=cached, backend=backend)
+        return 200, self._done(key, certificate, cached=cached)
 
-    def _done(self, key, certificate, *, cached, backend=None) -> dict:
+    def _done(self, key, certificate, *, cached) -> dict:
         return {
             "status": "done",
             "key": key,
             "cached": cached,
-            "backend": backend,
             "passed": certificate.passed,
             "degraded": certificate.degraded,
             "certificate": certificate.to_dict(),

@@ -2,7 +2,7 @@
 
 A :class:`CertifyRequest` is the wire form of one certification campaign:
 which protected design to build, which slice of its fault space to sweep,
-under which seed/key/backend.  Two requests that would provably produce
+under which seed and key.  Two requests that would provably produce
 the same certificate must collapse to the same :func:`request_key` — the
 content address under which the daemon dedupes in-flight work and stores
 finished certificates.
@@ -14,15 +14,16 @@ The key is a SHA-256 over a canonical document combining
   scheme/variant/rounds, but structural, so a builder change invalidates
   stale cache entries),
 - the **fault-space selection** (models × cycles, budget, runs/location —
-  the inputs of ``enumerate_fault_space`` + the budget sampler),
-- the campaign **seed and key**, and
-- the normalised **backend** (kept in the key per the store contract even
-  though backends are bit-exact: a cache entry records which kernel earned
-  it, and re-keying on it makes backend-comparison sweeps explicit).
+  the inputs of ``enumerate_fault_space`` + the budget sampler), and
+- the campaign **seed and key**.
+
+The simulation kernel is not part of the request: the kernels are
+bit-exact, so a stored certificate answers a request whatever kernel the
+daemon runs (``REPRO_SIM_BACKEND``); the certificate's run manifest
+records the one that earned it.
 
 Normalisation happens *before* hashing: ``rounds=None`` resolves to the
-cipher's full-round count, ``models=None`` to the default model tuple and
-``backend=None`` through :func:`~repro.netlist.simulator.resolve_backend`,
+cipher's full-round count and ``models=None`` to the default model tuple,
 so spelling a default out loud never causes a spurious cache miss.  The
 per-request ``deadline_s`` is deliberately **not** part of the identity:
 a deadline changes how much of the sweep finishes, not what is being
@@ -125,12 +126,12 @@ class CertifyRequest:
     cycles: tuple[int, ...] | None = None
     seed: int = 4
     key: str = "0x0123456789abcdef0123"
-    backend: str | None = None
     #: wall-clock budget for this request; exceeded → valid *degraded*
     #: certificate via the executor's ``wall_budget`` path.  Not identity.
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        from repro.certify import CertifyConfig
         from repro.ciphers.registry import resolve_cipher
 
         if self.scheme not in SCHEMES:
@@ -139,6 +140,8 @@ class CertifyRequest:
             )
         resolve_cipher(self.cipher)  # raises ValueError listing the registry
         int(self.key, 0)  # must be a parseable integer literal
+        # the sweep size is checked where the certifier's config is
+        CertifyConfig(budget=self.budget, runs_per_location=self.runs_per_location)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CertifyRequest":
@@ -170,7 +173,6 @@ class CertifyRequest:
             "cycles": list(self.cycles) if self.cycles is not None else None,
             "seed": self.seed,
             "key": self.key,
-            "backend": self.backend,
             "deadline_s": self.deadline_s,
         }
 
@@ -178,14 +180,12 @@ class CertifyRequest:
         """Resolve every defaultable field to its canonical value."""
         from repro.certify import DEFAULT_MODELS
         from repro.ciphers.registry import resolve_cipher
-        from repro.netlist.simulator import resolve_backend
 
         return replace(
             self,
             cipher=resolve_cipher(self.cipher),
             models=tuple(self.models) if self.models is not None else DEFAULT_MODELS,
             key=str(int(self.key, 0)),
-            backend=resolve_backend(self.backend),
         )
 
 
@@ -213,7 +213,6 @@ def request_key(request: CertifyRequest, design=None) -> str:
         "budget": norm.budget,
         "models": list(norm.models),
         "cycles": list(norm.cycles) if norm.cycles is not None else None,
-        "backend": norm.backend,
     }
     return hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

@@ -62,7 +62,7 @@ def render_status(doc: dict) -> str:
     lines.append("")
     if requests:
         lines.append(
-            f"  {'request':<12} {'state':<8} {'scheme':<12} {'backend':<10} "
+            f"  {'request':<12} {'state':<8} {'scheme':<12} "
             f"{'progress':<{_BAR_WIDTH + 2}} {'pct':>6} {'eta':>6} {'rate':>10}"
         )
         for item in requests:
@@ -73,7 +73,6 @@ def render_status(doc: dict) -> str:
                 f"  {item.get('request_id', '?'):<12} "
                 f"{item.get('state', '?'):<8} "
                 f"{str(item.get('scheme', '?')):<12} "
-                f"{str(item.get('backend', '?')):<10} "
                 f"[{_bar(pct)}] "
                 f"{(f'{pct:5.1f}%' if pct is not None else '    --'):>6} "
                 f"{_fmt_eta(progress.get('eta_s')):>6} "

@@ -63,7 +63,7 @@ class TestBackendEquivalence:
                 ref["ciphertext"], results[backend]["ciphertext"], backend
             )
 
-    def test_fault_ordering_contract_on_real_datapath(self, protected):
+    def test_fault_ordering_contract_on_real_datapath(self, protected, monkeypatch):
         """Chained faults — a stuck-at on an S-box input composed with a
         bit-flip on the same net, plus a flip on the S-box output it
         drives — must classify identically under every backend."""
@@ -76,12 +76,12 @@ class TestBackendEquivalence:
             FaultSpec.at(net_out, FaultType.BIT_FLIP, last_round(core)),
         ]
         key = battery_key(protected.spec)
-        results = {
-            backend: run_campaign(
-                protected, specs, n_runs=256, key=key, seed=13, backend=backend
+        results = {}
+        for backend in BACKENDS:
+            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+            results[backend] = run_campaign(
+                protected, specs, n_runs=256, key=key, seed=13
             )
-            for backend in BACKENDS
-        }
         ref = results.pop("reference")
         for backend, got in results.items():
             assert ref.counts() == got.counts(), backend

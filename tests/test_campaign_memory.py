@@ -67,15 +67,16 @@ def result(design, specs):
 
 
 @pytest.mark.parametrize("backend", ["levelized", "compiled"])
-def test_campaign_peak_stays_below_its_unpacked_words(design, specs, backend):
+def test_campaign_peak_stays_below_its_unpacked_words(
+    design, specs, backend, monkeypatch
+):
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
     n_runs = 8 * LANES
     # build and compile outside the traced window
-    run_campaign(design, specs, n_runs=RNG_BLOCK, key=TEST_KEY80, backend=backend)
+    run_campaign(design, specs, n_runs=RNG_BLOCK, key=TEST_KEY80)
     tracemalloc.start()
     try:
-        result = run_campaign(
-            design, specs, n_runs=n_runs, key=TEST_KEY80, backend=backend
-        )
+        result = run_campaign(design, specs, n_runs=n_runs, key=TEST_KEY80)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -97,7 +98,8 @@ READOUT_BUDGET = int(1.25 * 2**20)
 
 
 @pytest.mark.parametrize("backend", ["levelized", "compiled"])
-def test_fig4_series_peak_at_the_default_chunk(backend):
+def test_fig4_series_peak_at_the_default_chunk(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
     spec = PresentSpec()
     design = build_three_in_one(spec)
     core = design.cores[0]
@@ -107,12 +109,10 @@ def test_fig4_series_peak_at_the_default_chunk(backend):
     n_runs = 80_000
     assert n_runs > 2 * CHUNK
     # build and compile outside the traced window
-    run_campaign(design, specs, n_runs=RNG_BLOCK, key=TEST_KEY80, backend=backend)
+    run_campaign(design, specs, n_runs=RNG_BLOCK, key=TEST_KEY80)
     tracemalloc.start()
     try:
-        result = run_campaign(
-            design, specs, n_runs=n_runs, key=TEST_KEY80, backend=backend
-        )
+        result = run_campaign(design, specs, n_runs=n_runs, key=TEST_KEY80)
         stored, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         dist = ineffective_distribution(result, spec, 13)

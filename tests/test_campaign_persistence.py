@@ -1,5 +1,7 @@
 """Campaign save/load round-trips, and re-running attacks offline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,41 @@ class TestPersistence:
         path = tmp_path / "c.npz"
         result.save(path)
         assert CampaignResult.load(path).key == result.key
+
+    def test_partial_campaign_loads_as_partial(
+        self, naive_design, present_spec, tmp_path
+    ):
+        net = sbox_input_net(naive_design.cores[0], 7, 1)
+        fault = FaultSpec.at(net, FaultType.STUCK_AT_0, present_spec.rounds - 2)
+        result = run_campaign(
+            naive_design, [fault], n_runs=3 * RNG_BLOCK, key=TEST_KEY80, seed=21,
+            executor=ExecutorConfig(shard_runs=RNG_BLOCK, retries=0, backoff=0.0),
+            shard_hook=_fail_shard_two,
+        )
+        assert result.partial and len(result.extra["failed_shards"]) == 1
+        path = tmp_path / "partial.npz"
+        result.save(path)
+        loaded = CampaignResult.load(path)
+        assert loaded.partial
+        assert loaded.extra == json.loads(json.dumps(result.extra, default=str))
+        assert loaded.extra["failed_shards"][0]["index"] == 2
+
+    def test_archive_without_extra_loads_with_an_empty_one(
+        self, naive_design, present_spec, tmp_path
+    ):
+        result = self.make_campaign(naive_design, present_spec, n=64)
+        path = tmp_path / "c.npz"
+        result.save(path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "extra"}
+        np.savez_compressed(path, **arrays)
+        loaded = CampaignResult.load(path)
+        assert loaded.extra == {} and not loaded.partial
+
+
+def _fail_shard_two(index: int, attempt: int) -> None:
+    if index == 2:
+        raise RuntimeError("injected shard failure")
 
 
 def _fail_from_shard_one(index: int, attempt: int) -> None:

@@ -19,6 +19,7 @@ from repro.ciphers.netlist_present import PresentSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
 from repro.faults.classification import Outcome
 from repro.netlist.gates import GateType
+from repro.netlist.simulator import DEFAULT_BACKEND
 
 KEY = 0x1A2B3C4D5E6F708192A3
 
@@ -107,6 +108,41 @@ class TestSpace:
         assert locations_for_budget(1, 64) == 1
         with pytest.raises(ValueError):
             locations_for_budget(0, 64)
+
+
+class TestCertifyConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"runs_per_location": 0},
+            {"runs_per_location": -3, "budget": 640},
+            {"runs_per_location": 8.0},
+            {"runs_per_location": True},
+            {"budget": 0},
+            {"budget": -640},
+            {"budget": "abc"},
+        ],
+    )
+    def test_rejects_a_bad_sweep_size_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            CertifyConfig(models=("layer_glitch",), **kwargs)
+
+    def test_no_kernel_field(self):
+        # the kernel is REPRO_SIM_BACKEND's; the certificate records it
+        with pytest.raises(TypeError):
+            CertifyConfig(backend="compiled")
+
+    @pytest.mark.parametrize("kernel", [None, "compiled"])
+    def test_manifest_names_the_kernel_that_ran(self, naive2, kernel, monkeypatch):
+        if kernel is None:
+            monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_BACKEND", kernel)
+        cert = certify_design(
+            naive2, key=KEY,
+            config=CertifyConfig(budget=64, runs_per_location=16, models=("layer_glitch",)),
+        )
+        assert cert.timing["manifest"]["backend"] == (kernel or DEFAULT_BACKEND)
 
 
 class TestCertify:

@@ -81,10 +81,10 @@ def _assert_identical(a, b):
     assert (a.outcomes == b.outcomes).all()
 
 
-def _run(design, fault, *, config, backend=None):
+def _run(design, fault, *, config):
     return run_campaign(
         design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
-        executor=config, backend=backend,
+        executor=config,
     )
 
 
@@ -416,6 +416,7 @@ class TestStructuredDegradation:
 # The recovery contract is backend-independent: the AOT-codegen backend
 # must survive the same abuse as the levelized default, bit-identically
 # (the backends are bit-exact, so the ground truth is one `baseline`).
+# REPRO_SIM_BACKEND selects it; forked pool workers inherit the variable.
 
 
 def _compiled_schedules():
@@ -443,6 +444,10 @@ def _compiled_schedules():
 
 
 class TestCompiledBackendChaos:
+    @pytest.fixture(autouse=True)
+    def _compiled(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
+
     @pytest.mark.parametrize("spec", _compiled_schedules(), ids=_schedule_id)
     def test_recovered_compiled_run_is_bit_identical(
         self, design3, fault3, baseline, tmp_path, spec
@@ -451,7 +456,7 @@ class TestCompiledBackendChaos:
         chaos.configure(spec)
         try:
             result = _run(
-                design3, fault3, backend="compiled",
+                design3, fault3,
                 config=ExecutorConfig(
                     shard_runs=RNG_BLOCK, checkpoint_dir=ck,
                     retries=3, backoff=0.0, timeout=0.8,
@@ -463,7 +468,7 @@ class TestCompiledBackendChaos:
         _assert_identical(result, baseline)
 
         resumed = _run(
-            design3, fault3, backend="compiled",
+            design3, fault3,
             config=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=ck,
                 retries=1, backoff=0.0, resume=True,
@@ -482,7 +487,7 @@ class TestCompiledBackendChaos:
             ChaosSpec(seed=5, faults=(ChaosFault("worker", "crash", 1.0, 1),))
         )
         result = _run(
-            design3, fault3, backend="compiled",
+            design3, fault3,
             config=ExecutorConfig(
                 shard_runs=RNG_BLOCK, checkpoint_dir=tmp_path / "ck",
                 jobs=2, retries=3, backoff=0.0,

@@ -1,8 +1,11 @@
 """CLI plumbing (fast subcommands only; campaigns run in the benches)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.netlist.simulator import DEFAULT_BACKEND
 
 
 class TestParser:
@@ -31,6 +34,15 @@ class TestParser:
             ["submit", "--scheme", "naive", "--deadline", "1.5"]
         )
         assert args.scheme == "naive" and args.deadline == 1.5
+
+
+    @pytest.mark.parametrize("cmd", ["fig4", "fig5", "certify", "submit", "encrypt"])
+    def test_no_backend_flag(self, cmd, capsys):
+        # the kernel is chosen by REPRO_SIM_BACKEND, not per command
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([cmd, "--backend", "compiled"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestCipherArgument:
@@ -164,3 +176,39 @@ class TestCertifyCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert "checkpoint mismatch" in err and "budget" in err
+
+    @pytest.mark.parametrize("kernel", [None, "compiled"])
+    def test_certificate_and_trace_name_the_kernel(
+        self, kernel, monkeypatch, capsys, tmp_path
+    ):
+        if kernel is None:
+            monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SIM_BACKEND", kernel)
+        expected = kernel or DEFAULT_BACKEND
+        out, trace_file = tmp_path / "c.json", tmp_path / "t.jsonl"
+        code = main(
+            ["certify", "--scheme", "naive", "--rounds", "2", "--budget", "640",
+             "--models", "layer_glitch", "--out", str(out),
+             "--trace", str(trace_file)]
+        )
+        assert code in (0, 1)
+        cert = json.loads(out.read_text())
+        assert cert["timing"]["manifest"]["backend"] == expected
+        capsys.readouterr()
+        assert main(["stats", str(trace_file)]) == 0
+        assert f"backend={expected}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--runs-per-location", "0"], "runs_per_location must be a positive"),
+            (["--runs-per-location", "-3", "--budget", "640"],
+             "runs_per_location must be a positive"),
+            (["--budget", "0"], "budget must be a positive"),
+        ],
+    )
+    def test_bad_sweep_size_exits_2(self, flags, message, capsys):
+        code = main(["certify", "--scheme", "naive", "--rounds", "2"] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err

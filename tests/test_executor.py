@@ -574,7 +574,7 @@ class TestPrewarm:
     """Backend codegen is compiled in the worker initializer (outside any
     shard timeout window), not lazily inside the first shard."""
 
-    def test_prewarm_backend_populates_codegen_caches(self, naive_design):
+    def test_prewarm_backend_populates_codegen_caches(self, naive_design, monkeypatch):
         from repro.faults.executor import prewarm_backend
         from repro.netlist.compiled import _PROGRAM_CACHE, compile_program
         from repro.netlist.levelized import _SCHEDULE_CACHE, compile_schedule
@@ -594,6 +594,12 @@ class TestPrewarm:
 
         prewarm_backend(naive_design, "reference")  # nothing to pre-warm: a no-op
 
+        # no kernel named: the one REPRO_SIM_BACKEND selects when it runs
+        _PROGRAM_CACHE.pop(circuit, None)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
+        prewarm_backend(naive_design)
+        assert circuit in _PROGRAM_CACHE
+
     def test_prewarm_failure_is_nonfatal(self, caplog):
         from repro.faults._supervisor import _run_prewarm
 
@@ -605,7 +611,7 @@ class TestPrewarm:
         assert "pre-warm" in caplog.text
 
     def test_sharded_campaign_defaults_prewarm(self, naive_design, present_spec, monkeypatch):
-        """run_campaign wires a backend pre-warm into an executor config by
+        """run_campaign wires a kernel pre-warm into an executor config by
         default, and the serial path actually runs it."""
         import repro.faults.executor as executor_mod
 
@@ -613,12 +619,12 @@ class TestPrewarm:
         real = executor_mod.prewarm_backend
         monkeypatch.setattr(
             executor_mod, "prewarm_backend",
-            lambda d, b: calls.append(b) or real(d, b),
+            lambda d, b=None: calls.append((d, b)) or real(d, b),
         )
         run_campaign(
             naive_design, [_fault(naive_design, present_spec)],
             n_runs=RNG_BLOCK // 2, key=TEST_KEY80, seed=SEED,
-            backend="levelized",
             executor=ExecutorConfig(shard_runs=RNG_BLOCK),
         )
-        assert calls == ["levelized"]
+        # no kernel named: the worker resolves REPRO_SIM_BACKEND itself
+        assert calls == [(naive_design, None)]

@@ -118,17 +118,20 @@ def scenario(design, name: str) -> list[FaultSpec]:
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("variant", ["static", "dynamic"])
 @pytest.mark.parametrize("name", ["masked", "coupled"])
-def test_run_range_matches_two_simulator_loop(designs, backend, variant, name):
+def test_run_range_matches_two_simulator_loop(
+    designs, backend, variant, name, monkeypatch
+):
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
     design = designs[variant]
     specs = scenario(design, name)
     # two chunks: a full one and a partial one of 100 runs (not a
     # multiple of 64), starting past the first RNG block
     window = dict(
         key=TEST_KEY80, seed=23, lo=RNG_BLOCK, hi=2 * RNG_BLOCK + 100,
-        chunk=RNG_BLOCK, backend=backend,
+        chunk=RNG_BLOCK,
     )
     got = run_range(design, specs, **window)
-    want = two_simulator_range(design, specs, **window)
+    want = two_simulator_range(design, specs, **window, backend=backend)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)

@@ -5,7 +5,7 @@ these tests hold the daemon to the same standard ``tests/test_chaos.py``
 holds the executor — identical concurrent requests cost one simulation,
 crash debris resumes to bit-identical certificates, overload sheds with a
 structured retry, deadlines degrade instead of dropping, a failing
-campaign is reported on the backend it asked for (never rerouted), and
+campaign is reported as failed every time (never rerouted), and
 SIGTERM-style drains always terminate with a persisted store index.
 
 Real campaigns use a tiny reduced-round PRESENT sweep (~0.3 s); the
@@ -30,6 +30,7 @@ import time
 import pytest
 
 from repro.certify import Certificate, CertifyConfig, certify_design
+from repro.netlist.simulator import resolve_backend
 from repro.resilience import CHAOS_ENV, ChaosFault, ChaosSpec, chaos
 from repro.resilience.chaos import _fires
 from repro.service import (
@@ -119,7 +120,6 @@ class TestRequestKey:
             {
                 **TINY,
                 "models": None,
-                "backend": "levelized",
                 "key": str(int(KEYHEX, 0)),
             }
         )
@@ -137,7 +137,6 @@ class TestRequestKey:
             {"budget": 128},
             {"runs_per_location": 16},
             {"models": ["single"]},
-            {"backend": "compiled"},
             {"key": "0x1"},
         ):
             other = CertifyRequest.from_dict({**TINY, **change})
@@ -160,8 +159,20 @@ class TestRequestKey:
             CertifyRequest.from_dict({**TINY, "scheme": "rot13"})
         with pytest.raises(ValueError):
             CertifyRequest.from_dict({**TINY, "key": "not-a-number"})
-        with pytest.raises(ValueError, match="unknown simulator backend"):
-            CertifyRequest.from_dict({**TINY, "backend": "turbo"}).normalized()
+        # the kernel is the daemon's, not the request's
+        with pytest.raises(ValueError, match="unknown request field.*backend"):
+            CertifyRequest.from_dict({**TINY, "backend": "compiled"})
+
+    @pytest.mark.parametrize("change", [{"runs_per_location": 0}, {"budget": "abc"}])
+    def test_rejects_a_bad_sweep_size(self, change):
+        name = next(iter(change))
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            CertifyRequest.from_dict({**TINY, **change})
+
+    def test_kernel_is_not_identity(self, tiny_design, monkeypatch):
+        k0 = request_key(CertifyRequest.from_dict(TINY), tiny_design)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
+        assert request_key(CertifyRequest.from_dict(TINY), tiny_design) == k0
 
 
 # -------------------------------------------------------------------- store
@@ -222,8 +233,9 @@ class TestDaemonEndToEnd:
         with running(tmp_path / "store") as (service, client):
             status, doc = client.submit(TINY)
         assert status == 200 and doc["status"] == "done"
-        assert doc["cached"] is None and doc["backend"] == "levelized"
+        assert doc["cached"] is None and "backend" not in doc
         served = Certificate.from_dict(doc["certificate"])
+        assert served.timing["manifest"]["backend"] == resolve_backend(None)
         assert served.render(include_timing=False) == direct_cert.render(
             include_timing=False
         )
@@ -478,25 +490,22 @@ class TestCampaignFailures:
     def test_failing_backend_fails_every_time_without_reroute(
         self, tmp_path, direct_cert
     ):
-        seen = []
+        calls = []
 
-        def compiled_breaks(design, *, key, config):
-            seen.append(config.backend)
-            if config.backend == "compiled":
-                raise RuntimeError("codegen exploded")
-            return direct_cert
+        def kernel_breaks(design, *, key, config):
+            calls.append(config.seed)
+            raise RuntimeError("codegen exploded")
 
-        with running(tmp_path / "store", certify=compiled_breaks) as (
+        with running(tmp_path / "store", certify=kernel_breaks) as (
             service,
             client,
         ):
-            request = {**TINY, "backend": "compiled"}
             for attempt in range(1, 4):
-                status, doc = client.submit(request)
+                status, doc = client.submit(TINY)
                 assert status == 500
                 assert doc["status"] == "error"
                 assert doc["error_kind"] == "transient"
-                assert seen == ["compiled"] * attempt  # never rerouted
+                assert calls == [TINY["seed"]] * attempt  # one run, no reroute
                 status_doc = client.status()
                 assert status_doc["counters"]["campaigns_failed"] == attempt
                 assert status_doc["failures_by_kind"] == {"transient": attempt}
@@ -632,6 +641,24 @@ class TestHttpSurface:
             status, bad = client.submit({**TINY, "scheme": "rot13"})
             assert status == 400 and bad["request_id"] == "req-000003"
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"backend": "compiled"}, "unknown request field"),
+            ({"runs_per_location": 0}, "runs_per_location must be a positive"),
+            ({"budget": "abc"}, "budget must be a positive"),
+        ],
+    )
+    def test_bad_request_fields_are_400s(self, tmp_path, change, error):
+        def never(design, *, key, config):
+            raise AssertionError("a bad request must not start a campaign")
+
+        with running(tmp_path / "store", certify=never) as (service, client):
+            status, doc = client.submit({**TINY, **change})
+        assert status == 400 and doc["status"] == "bad_request"
+        assert error in doc["error"]
+        assert service.counters["campaigns_started"] == 0
+
     def test_status_tracks_a_request_through_its_lifecycle(
         self, tmp_path, direct_cert
     ):
@@ -652,6 +679,7 @@ class TestHttpSurface:
             assert item["request_id"] == "req-000001"
             assert item["state"] == "running"
             assert item["key"] and item["scheme"] == "three-in-one"
+            assert "backend" not in item
             assert st["recent"] == []
 
             release.set()

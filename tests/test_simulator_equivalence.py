@@ -307,9 +307,12 @@ def reduced_design(request):
 
 
 class TestCampaignEquivalence:
-    """End-to-end: identical CampaignResult under every backend."""
+    """End-to-end: identical CampaignResult under every backend, each
+    selected the way a user selects it (``REPRO_SIM_BACKEND``)."""
 
-    def test_reduced_round_campaign_histograms_identical(self, reduced_design):
+    def test_reduced_round_campaign_histograms_identical(
+        self, reduced_design, monkeypatch
+    ):
         design = reduced_design
         core = design.cores[0]
         specs = [
@@ -318,12 +321,12 @@ class TestCampaignEquivalence:
             )
         ]
         key = 0x1A2B3C4D5E6F708192A3
-        results = {
-            backend: run_campaign(
-                design, specs, n_runs=2048, key=key, seed=9, backend=backend
+        results = {}
+        for backend in BACKENDS:
+            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+            results[backend] = run_campaign(
+                design, specs, n_runs=2048, key=key, seed=9
             )
-            for backend in BACKENDS
-        }
         ref = results.pop("reference")
         for backend, got in results.items():
             assert ref.counts() == got.counts(), backend
@@ -335,7 +338,7 @@ class TestCampaignEquivalence:
 
     @pytest.mark.parametrize("backend", ["levelized", "compiled"])
     def test_sharded_fast_backend_equals_single_shot_reference(
-        self, reduced_design, tmp_path, backend
+        self, reduced_design, tmp_path, backend, monkeypatch
     ):
         """The executor path (fast-kernel workers) vs one-shot reference."""
         design = reduced_design
@@ -346,16 +349,15 @@ class TestCampaignEquivalence:
             )
         ]
         key = 0x1A2B3C4D5E6F708192A3
-        single = run_campaign(
-            design, specs, n_runs=2048, key=key, seed=3, backend="reference"
-        )
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "reference")
+        single = run_campaign(design, specs, n_runs=2048, key=key, seed=3)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
         sharded = run_campaign(
             design,
             specs,
             n_runs=2048,
             key=key,
             seed=3,
-            backend=backend,
             executor=ExecutorConfig(
                 shard_runs=1024, checkpoint_dir=tmp_path / f"ckpt-{backend}"
             ),
