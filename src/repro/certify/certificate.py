@@ -12,7 +12,7 @@ diff them that way.
 Integrity: :meth:`Certificate.save` writes atomically and embeds an
 ``integrity`` block (SHA-256 over the canonical rendering of everything
 else).  :meth:`Certificate.load` re-verifies it — a certificate that was
-torn mid-write, bit-rotted, or hand-edited raises
+torn mid-write, bit-rotted, hand-edited or stripped of the block raises
 :class:`CertificateError`, which the CLI maps to the documented exit
 code 3 (artefact mismatch), the same family as a foreign checkpoint.
 A certificate is a *security verdict*; trusting a corrupted one silently
@@ -162,10 +162,9 @@ class Certificate:
         """Load and *verify* a certificate (schema version + checksum).
 
         Raises :class:`CertificateError` on an unparseable document, an
-        unsupported schema version, a malformed structure, or an
-        ``integrity`` digest that does not match the content.  Documents
-        written before the integrity block existed (no ``integrity`` key)
-        load without the checksum check.
+        unsupported schema version, a malformed structure, a missing
+        ``integrity`` block, or an integrity digest that does not match
+        the content.
         """
         try:
             doc = json.loads(Path(path).read_text())
@@ -178,21 +177,20 @@ class Certificate:
                 f"certificate {path} is not a JSON object"
             )
         integrity = doc.pop("integrity", None)
-        if integrity is not None:
-            stored = (integrity or {}).get("digest")
-            if stored != _canonical_digest(doc):
-                raise CertificateError(
-                    f"certificate {path} fails its integrity checksum "
-                    f"(torn write, bit-rot, or out-of-band edit)"
-                )
         try:
-            return cls.from_dict(doc)
-        except CertificateError:
-            raise
+            certificate = cls.from_dict(doc)  # checks the version first
         except (KeyError, TypeError) as exc:
             raise CertificateError(
                 f"malformed certificate {path}: missing/invalid {exc}"
             ) from exc
+        if not isinstance(integrity, dict):
+            raise CertificateError(f"certificate {path} has no integrity block")
+        if integrity.get("digest") != _canonical_digest(doc):
+            raise CertificateError(
+                f"certificate {path} fails its integrity checksum "
+                f"(torn write, bit-rot, or out-of-band edit)"
+            )
+        return certificate
 
     def summary(self) -> str:
         """A short human-readable digest for CLI output."""

@@ -90,14 +90,36 @@ class CertifyConfig:
     wall_budget: float | None = None
 
     def __post_init__(self) -> None:
-        _require_positive_int("runs_per_location", self.runs_per_location)
+        _require_int("runs_per_location", self.runs_per_location, minimum=1)
         if self.budget is not None:
-            _require_positive_int("budget", self.budget)
+            _require_int("budget", self.budget, minimum=1)
+        _require_int("seed", self.seed, minimum=0)
+        # An empty model or cycle selection is an empty fault space, which
+        # every verdict would vacuously pass.
+        if (
+            not isinstance(self.models, tuple)
+            or not self.models
+            or any(m not in DEFAULT_MODELS for m in self.models)
+        ):
+            raise ValueError(
+                f"models must be a non-empty tuple of fault model names from "
+                f"{DEFAULT_MODELS}, got {self.models!r}"
+            )
+        if self.cycles is not None and (
+            not isinstance(self.cycles, tuple)
+            or not self.cycles
+            or any(type(c) is not int or c < 0 for c in self.cycles)
+        ):
+            raise ValueError(
+                f"cycles must be None or a non-empty tuple of non-negative "
+                f"integers, got {self.cycles!r}"
+            )
 
 
-def _require_positive_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _require_int(name: str, value, *, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _certify_task(

@@ -71,6 +71,7 @@ __all__ = [
     "SpaceSection",
     "enumerate_fault_space",
     "locations_for_budget",
+    "resolve_cycles",
 ]
 
 DEFAULT_MODELS = ("single", "identical_mask", "layer_glitch", "coupled")
@@ -292,6 +293,22 @@ def _corresponding_nets(design: "ProtectedDesign") -> list[tuple[int, ...]]:
     return [tuple(group) for group in zip(*per_core)]
 
 
+def resolve_cycles(
+    cycles: tuple[int, ...] | None, rounds: int
+) -> tuple[int, ...]:
+    """The active rounds ``cycles`` selects on a ``rounds``-round design.
+
+    None selects every round; a round outside ``[0, rounds)`` raises.
+    """
+    if cycles is None:
+        return tuple(range(rounds))
+    cycles = tuple(cycles)
+    bad = [c for c in cycles if not 0 <= c < rounds]
+    if bad:
+        raise ValueError(f"cycles out of range [0, {rounds}): {bad}")
+    return cycles
+
+
 def enumerate_fault_space(
     design: "ProtectedDesign",
     *,
@@ -308,13 +325,7 @@ def enumerate_fault_space(
         raise ValueError(
             f"unknown fault models {sorted(unknown)}; pick from {DEFAULT_MODELS}"
         )
-    if cycles is None:
-        cycles = tuple(range(design.spec.rounds))
-    else:
-        cycles = tuple(cycles)
-        bad = [c for c in cycles if not 0 <= c < design.spec.rounds]
-        if bad:
-            raise ValueError(f"cycles out of range [0, {design.spec.rounds}): {bad}")
+    cycles = resolve_cycles(cycles, design.spec.rounds)
 
     sections: list[SpaceSection] = []
     for model in DEFAULT_MODELS:  # canonical order, independent of request order

@@ -80,7 +80,7 @@ def resolve_cipher(name: str) -> str:
     Raises :class:`ValueError` naming the registered ciphers on a miss —
     front-ends surface this verbatim (the CLI at argument-parse time).
     """
-    norm = name.strip().lower()
+    norm = str(name).strip().lower()
     if norm in _REGISTRY:
         return norm
     if norm in _ALIASES:

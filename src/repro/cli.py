@@ -204,6 +204,7 @@ def _build_scheme(scheme: str, *, cipher: str, variant: str, rounds: int | None)
 
 def _cmd_certify(args) -> int:
     from repro.certify import DEFAULT_MODELS, CertifyConfig, certify_design
+    from repro.certify.space import resolve_cycles
 
     try:
         config = CertifyConfig(
@@ -218,12 +219,13 @@ def _cmd_certify(args) -> int:
             resume=args.resume,
             wall_budget=args.wall_budget,
         )
+        design = _build_scheme(
+            args.scheme, cipher=args.cipher, variant=args.variant, rounds=args.rounds
+        )
+        resolve_cycles(config.cycles, design.spec.rounds)
     except ValueError as exc:
         print(f"invalid certify options: {exc}", file=sys.stderr)
         return 2
-    design = _build_scheme(
-        args.scheme, cipher=args.cipher, variant=args.variant, rounds=args.rounds
-    )
     certificate = certify_design(design, key=int(args.key, 0), config=config)
     print(certificate.summary())
     if args.out:
@@ -641,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pserve.add_argument(
         "--store", default="repro-store",
-        help="content-addressed result store root (certificates, index, "
+        help="content-addressed result store root (certificates and "
         "campaign checkpoints); survives restarts and kill -9",
     )
     pserve.add_argument("--host", default="127.0.0.1")

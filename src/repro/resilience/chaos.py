@@ -21,10 +21,10 @@ site                   where it fires
                        folded in
 ``service.request``    in the certification daemon, as an admitted request
                        begins executing
-``service.store``      after the daemon's result store persists an artefact
-                       (certificate or index — corrupts the file on disk)
-``service.drain``      in the daemon's SIGTERM drain sequence, before the
-                       store index is flushed
+``service.store``      after the daemon's result store persists a
+                       certificate (corrupts the file on disk)
+``service.drain``      in the daemon's SIGTERM drain sequence, before it
+                       waits for in-flight campaigns
 =====================  =====================================================
 
 and each fault has a *kind*, mirroring the paper's taxonomy aimed at

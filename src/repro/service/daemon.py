@@ -47,7 +47,8 @@ names.  A failed campaign answers ``500`` with its
 
 **Graceful drain** — SIGTERM/SIGINT stops admission (``503 draining``),
 lets in-flight campaigns finish (or checkpoint, bounded by
-``drain_timeout_s``), persists the store index and exits 0.
+``drain_timeout_s``) and exits 0.  Every finished certificate is already
+on disk by then: the store is its certificate files.
 
 Chaos sites ``service.request`` / ``service.store`` / ``service.drain``
 instrument the request path, the store writes and the drain sequence, so
@@ -78,6 +79,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from repro.certify.space import resolve_cycles
 from repro.resilience.chaos import ChaosSpec, chaos
 from repro.resilience.errors import classify_error
 from repro.service.protocol import CertifyRequest, build_design, request_key
@@ -99,7 +101,7 @@ log = logging.getLogger(__name__)
 class ServiceConfig:
     """Knobs of the certification daemon."""
 
-    #: store root; certificates, index and campaign checkpoints live here
+    #: store root; certificates and campaign checkpoints live here
     store_dir: object = "repro-store"
     host: str = "127.0.0.1"
     #: 0 = pick an ephemeral port (recorded on ``service.port`` once bound)
@@ -188,6 +190,7 @@ class CertificationService:
                     rounds=norm.rounds,
                 )
                 self._designs[sig] = design
+        resolve_cycles(norm.cycles, design.spec.rounds)
         return request_key(norm, design), design
 
     def _count_failure(self, kind: str) -> None:
@@ -309,7 +312,12 @@ class CertificationService:
                 "retry_after_s": self.config.retry_after_s,
                 "request_id": rid,
             }
-        key, design = await asyncio.to_thread(self._key_and_design, request)
+        try:
+            key, design = await asyncio.to_thread(self._key_and_design, request)
+        except (ValueError, TypeError) as exc:
+            # the rounds, variant or cycles this cipher cannot build
+            self._count("bad_requests")
+            return 400, {"status": "bad_request", "error": str(exc), "request_id": rid}
 
         with self._store_lock:
             stored = self.store.get(key)
@@ -528,7 +536,7 @@ class CertificationService:
             "counters": dict(self.counters),
             "failures_by_kind": dict(self.failures_by_kind),
             "store": {
-                "entries": len(self.store.entries),
+                "entries": len(self.store.keys()),
                 "pending_work": self.store.pending_work(),
             },
         }
@@ -599,10 +607,8 @@ class CertificationService:
                     len(not_done), self.config.drain_timeout_s,
                 )
                 trace.event("service.drain_timeout", abandoned=len(not_done))
-        with self._store_lock:
-            self.store.flush()
         trace.event("service.drain_complete")
-        log.info("drain complete; store index persisted")
+        log.info("drain complete")
         self._stop.set()
 
     def request_shutdown(self) -> None:

@@ -131,7 +131,7 @@ class CertifyRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        from repro.certify import CertifyConfig
+        from repro.certify import DEFAULT_MODELS, CertifyConfig
         from repro.ciphers.registry import resolve_cipher
 
         if self.scheme not in SCHEMES:
@@ -140,8 +140,25 @@ class CertifyRequest:
             )
         resolve_cipher(self.cipher)  # raises ValueError listing the registry
         int(self.key, 0)  # must be a parseable integer literal
-        # the sweep size is checked where the certifier's config is
-        CertifyConfig(budget=self.budget, runs_per_location=self.runs_per_location)
+        # the cipher's spec checks the range of rounds when it is built
+        if self.rounds is not None and type(self.rounds) is not int:
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
+        deadline = self.deadline_s
+        if deadline is not None and not (
+            type(deadline) in (int, float) and deadline >= 0
+        ):
+            raise ValueError(
+                f"deadline_s must be a non-negative number, got {deadline!r}"
+            )
+        # the sweep is checked where the certifier's config is, and its
+        # cycles against the built design's rounds
+        CertifyConfig(
+            budget=self.budget,
+            runs_per_location=self.runs_per_location,
+            models=DEFAULT_MODELS if self.models is None else self.models,
+            cycles=self.cycles,
+            seed=self.seed,
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CertifyRequest":
@@ -155,10 +172,9 @@ class CertifyRequest:
                 f"unknown request field(s): {', '.join(sorted(unknown))}"
             )
         kwargs = dict(doc)
-        if kwargs.get("models") is not None:
-            kwargs["models"] = tuple(kwargs["models"])
-        if kwargs.get("cycles") is not None:
-            kwargs["cycles"] = tuple(int(c) for c in kwargs["cycles"])
+        for name in ("models", "cycles"):
+            if isinstance(kwargs.get(name), list):
+                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -184,7 +200,7 @@ class CertifyRequest:
         return replace(
             self,
             cipher=resolve_cipher(self.cipher),
-            models=tuple(self.models) if self.models is not None else DEFAULT_MODELS,
+            models=self.models if self.models is not None else DEFAULT_MODELS,
             key=str(int(self.key, 0)),
         )
 

@@ -3,22 +3,24 @@
 Layout (everything under one ``root`` directory)::
 
     root/
-      index.json        the ledger: request key -> entry metadata, with a
-                        whole-document checksum (same discipline as the
-                        checkpoint manifest)
       certs/<key>.json  one finished certificate per content address,
-                        written by Certificate.save (atomic + integrity)
+                        written by Certificate.save (atomic + integrity);
+                        the store's only record of a certificate
       work/<key>/       the executor checkpoint directory of an unfinished
                         campaign for that key; removed once the complete
                         certificate is stored
 
-Every durable artefact is written with the PR 5 primitives (tmp + fsync +
-``os.replace``) and carries its own digest, so a ``kill -9`` at any point
-leaves only (a) verifiable finished artefacts, (b) resumable checkpoint
+Every durable artefact is written with :mod:`repro.resilience.persist`
+(tmp + fsync + ``os.replace``) and carries its own digest, so a
+``kill -9`` at any point leaves only (a) verifiable finished artefacts, (b) resumable checkpoint
 shards, or (c) garbage that validation rejects.  Recovery is therefore
-*read-side*: a torn or bit-rotted index is rebuilt by scanning ``certs/``,
-and a certificate that fails its integrity check on ``get`` is discarded
-(counted, never served) and recomputed by the caller.
+*read-side*: a missing certificate is a plain miss, and one that fails
+its integrity check on ``get`` is discarded (counted, never served) and
+recomputed by the caller.
+
+Keys are request keys: 64 lowercase hex characters.  Anything else is a
+miss that touches no file, so a key taken raw from a URL can never name
+a path outside ``certs/``.
 
 Only **complete** certificates are stored.  A degraded certificate
 (deadline/wall-budget truncation, quarantined shards) is returned to its
@@ -29,115 +31,39 @@ daemon restart after ``kill -9`` serve the same request to a bit-identical
 certificate: either the finished artefact is already in ``certs/``, or the
 campaign re-runs over its surviving shards deterministically.
 
-Chaos: writes are followed by ``chaos.corrupt_file("service.store", ...)``
-hooks, so the seeded replay suite can tear/bit-rot exactly these artefacts
-and assert the recovery paths above.
+Chaos: certificate writes are followed by a
+``chaos.corrupt_file("service.store", ...)`` hook, so the seeded replay
+suite can tear/bit-rot exactly these artefacts and assert the recovery
+path above.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
+import re
 import shutil
 from pathlib import Path
 
 from repro.certify.certificate import Certificate, CertificateError
 from repro.resilience.chaos import chaos
-from repro.resilience.persist import atomic_write_json, sha256_bytes
 from repro.telemetry import metrics, trace
 
-__all__ = ["ResultStore", "StoreCorrupt"]
+__all__ = ["ResultStore"]
 
 log = logging.getLogger(__name__)
 
-STORE_VERSION = 1
-
-
-class StoreCorrupt(RuntimeError):
-    """The index ledger is unreadable (recovered from, never fatal)."""
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class ResultStore:
-    """Content-addressed certificate store with a checksummed index."""
+    """Content-addressed certificate store: one verified file per key."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.certs_dir = self.root / "certs"
         self.work_root = self.root / "work"
-        self.index_path = self.root / "index.json"
-        self.entries: dict[str, dict] = {}
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.certs_dir.mkdir(exist_ok=True)
+        self.certs_dir.mkdir(parents=True, exist_ok=True)
         self.work_root.mkdir(exist_ok=True)
-        self._load_index()
-
-    # ---------------------------------------------------------------- index
-
-    def _load_index(self) -> None:
-        if not self.index_path.exists():
-            self.entries = {}
-            return
-        try:
-            doc = json.loads(self.index_path.read_text())
-            if doc.get("version") != STORE_VERSION:
-                raise StoreCorrupt(
-                    f"unsupported store version {doc.get('version')!r}"
-                )
-            body = {"version": doc["version"], "entries": doc["entries"]}
-            payload = json.dumps(
-                body, sort_keys=True, separators=(",", ":")
-            ).encode()
-            if doc.get("checksum") != sha256_bytes(payload):
-                raise StoreCorrupt("index fails its checksum")
-            self.entries = dict(doc["entries"])
-        except (OSError, ValueError, KeyError, StoreCorrupt) as exc:
-            # A torn/bit-rotted ledger holds no trustworthy state; the
-            # certificates themselves are self-validating, so rebuild the
-            # ledger from them instead of refusing to start.
-            log.warning("store index unusable (%s); rebuilding from certs/", exc)
-            trace.event("service.store_index_recovered", error=str(exc))
-            metrics.inc("service.store.index_recovered")
-            self._rebuild_index()
-
-    def _rebuild_index(self) -> None:
-        self.entries = {}
-        for path in sorted(self.certs_dir.glob("*.json")):
-            key = path.stem
-            try:
-                certificate = Certificate.load(path)
-            except CertificateError as exc:
-                log.warning("dropping unverifiable certificate %s (%s)", path, exc)
-                metrics.inc("service.store.certs_dropped")
-                path.unlink(missing_ok=True)
-                continue
-            self.entries[key] = self._entry(key, certificate)
-        self.flush()
-
-    @staticmethod
-    def _entry(key: str, certificate: Certificate) -> dict:
-        return {
-            "scheme": certificate.scheme,
-            "cipher": certificate.cipher,
-            "rounds": certificate.rounds,
-            "backend": (
-                (certificate.timing.get("manifest") or {}).get("backend")
-            ),
-            "passed": certificate.passed,
-        }
-
-    def flush(self) -> None:
-        """Atomically persist the index with a whole-document checksum."""
-        body = {"version": STORE_VERSION, "entries": self.entries}
-        payload = json.dumps(
-            body, sort_keys=True, separators=(",", ":")
-        ).encode()
-        atomic_write_json(
-            self.index_path, {**body, "checksum": sha256_bytes(payload)}
-        )
-        chaos.corrupt_file("service.store", self.index_path)
-
-    # ---------------------------------------------------------- certificates
 
     def cert_path(self, key: str) -> Path:
         return self.certs_dir / f"{key}.json"
@@ -146,14 +72,13 @@ class ResultStore:
         """The checkpoint directory for an in-progress campaign on ``key``."""
         return self.work_root / key[:32]
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
-
     def get(self, key: str) -> Certificate | None:
         """Fetch and *verify* a stored certificate; a bad one is evicted."""
-        if key not in self.entries:
+        if not _KEY.fullmatch(key):
             return None
         path = self.cert_path(key)
+        if not path.is_file():
+            return None
         try:
             certificate = Certificate.load(path)
         except CertificateError as exc:
@@ -163,8 +88,6 @@ class ResultStore:
             trace.event("service.store_cert_corrupt", key=key, error=str(exc))
             metrics.inc("service.store.certs_corrupt")
             path.unlink(missing_ok=True)
-            self.entries.pop(key, None)
-            self.flush()
             return None
         metrics.inc("service.store.hits")
         return certificate
@@ -176,18 +99,20 @@ class ResultStore:
                 "refusing to cache a degraded certificate; its checkpoints "
                 "remain resumable under work/"
             )
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"not a request key: {key!r}")
         path = self.cert_path(key)
         certificate.save(path)
         chaos.corrupt_file("service.store", path)
-        self.entries[key] = self._entry(key, certificate)
-        self.flush()
         metrics.inc("service.store.puts")
-        work = self.work_dir(key)
-        if work.exists():
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(self.work_dir(key), ignore_errors=True)
 
     def keys(self) -> list[str]:
-        return sorted(self.entries)
+        """The keys of the stored certificate files (unverified)."""
+        return sorted(
+            p.stem for p in self.certs_dir.glob("*.json")
+            if _KEY.fullmatch(p.stem)
+        )
 
     def pending_work(self) -> list[str]:
         """Key prefixes with surviving checkpoints (crash debris to resume)."""

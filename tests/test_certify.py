@@ -127,6 +127,34 @@ class TestCertifyConfig:
         with pytest.raises(ValueError, match="must be a positive integer"):
             CertifyConfig(models=("layer_glitch",), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"models": ()},
+            {"models": ["single"]},
+            {"models": "single"},
+            {"models": ("bogus",)},
+            {"cycles": ()},
+            {"cycles": [0]},
+            {"cycles": (-1,)},
+            {"cycles": ("1",)},
+            {"seed": "abc"},
+            {"seed": -1},
+            {"seed": 1.0},
+        ],
+    )
+    def test_rejects_a_bad_fault_selection_or_seed(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            CertifyConfig(**kwargs)
+
+    def test_an_empty_fault_space_cannot_pass(self, naive2):
+        # naive duplication is broken; an empty sweep must not certify it
+        for empty in ({"models": ()}, {"cycles": ()}):
+            with pytest.raises(ValueError, match="non-empty"):
+                certify_design(
+                    naive2, key=KEY, config=CertifyConfig(budget=640, **empty)
+                )
+
     def test_no_kernel_field(self):
         # the kernel is REPRO_SIM_BACKEND's; the certificate records it
         with pytest.raises(TypeError):
@@ -363,17 +391,26 @@ class TestCertificateIntegrity:
         with pytest.raises(CertificateError, match="version"):
             Certificate.load(bumped)
 
-    def test_legacy_certificate_without_integrity_loads(
-        self, saved_cert, tmp_path
+    def test_certificate_without_integrity_refused(
+        self, saved_cert, tmp_path, capsys
     ):
         import json
+
+        from repro.certify import CertificateError
+        from repro.cli import EXIT_CHECKPOINT_MISMATCH, main
 
         cert, path = saved_cert
         doc = json.loads(path.read_text())
         doc.pop("integrity")
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(doc))
-        assert Certificate.load(legacy).render() == cert.render()
+        stripped = tmp_path / "stripped.json"
+        stripped.write_text(json.dumps(doc))
+        with pytest.raises(CertificateError, match="no integrity block"):
+            Certificate.load(stripped)
+        # with the block gone nothing else can notice an edited verdict
+        doc["verdicts"]["dfa_detection"]["status"] = "TAMPERED"
+        stripped.write_text(json.dumps(doc))
+        assert main(["verify", str(stripped)]) == EXIT_CHECKPOINT_MISMATCH
+        assert "no integrity block" in capsys.readouterr().err
 
     def test_unreadable_documents_rejected(self, tmp_path):
         from repro.certify import CertificateError

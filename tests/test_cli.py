@@ -212,3 +212,20 @@ class TestCertifyCommand:
         code = main(["certify", "--scheme", "naive", "--rounds", "2"] + flags)
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--models", "bogus"], "models must be a non-empty tuple"),
+            (["--cycles", "9"], "cycles out of range [0, 2): [9]"),
+            (["--cycles", "-1"], "cycles must be None or a non-empty tuple"),
+            (["--seed", "-1"], "seed must be a non-negative integer"),
+        ],
+    )
+    def test_bad_fault_selection_exits_2(self, flags, message, capsys):
+        code = main(
+            ["certify", "--scheme", "naive", "--rounds", "2", "--budget", "64"]
+            + flags
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err

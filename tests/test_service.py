@@ -6,7 +6,8 @@ holds the executor — identical concurrent requests cost one simulation,
 crash debris resumes to bit-identical certificates, overload sheds with a
 structured retry, deadlines degrade instead of dropping, a failing
 campaign is reported as failed every time (never rerouted), and
-SIGTERM-style drains always terminate with a persisted store index.
+SIGTERM-style drains always terminate with every finished certificate
+on disk.
 
 Real campaigns use a tiny reduced-round PRESENT sweep (~0.3 s); the
 scheduling-logic tests (admission, dedupe, failures, drain) inject a stub
@@ -20,6 +21,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import signal
 import socket
 import subprocess
@@ -42,6 +44,7 @@ from repro.service import (
     build_design,
     request_key,
 )
+from repro.telemetry import metrics
 
 KEYHEX = "0x0123456789abcdef0123"
 
@@ -178,11 +181,22 @@ class TestRequestKey:
 # -------------------------------------------------------------------- store
 
 
+#: a well-formed request key (64 lowercase hex characters)
+KEY64 = "a" * 64
+
+#: keys the store must refuse without touching a file
+MALFORMED_KEYS = ["../victim", "a/b", "a" * 63, "a" * 65, "A" * 64]
+
+
+def _corrupt_count() -> int:
+    return metrics.snapshot()["counters"].get("service.store.certs_corrupt", 0)
+
+
 class TestResultStore:
     def test_put_get_roundtrip_bit_identical(self, tmp_path, direct_cert):
         store = ResultStore(tmp_path)
-        store.put("k" * 64, direct_cert)
-        loaded = store.get("k" * 64)
+        store.put(KEY64, direct_cert)
+        loaded = store.get(KEY64)
         assert loaded.render(include_timing=False) == direct_cert.render(
             include_timing=False
         )
@@ -198,27 +212,178 @@ class TestResultStore:
         )
         assert degraded.degraded
         with pytest.raises(ValueError, match="degraded"):
-            ResultStore(tmp_path).put("k" * 64, degraded)
+            ResultStore(tmp_path).put(KEY64, degraded)
 
-    def test_torn_index_rebuilds_from_certs(self, tmp_path, direct_cert):
+    def test_put_writes_one_certificate_file(self, tmp_path, direct_cert):
         store = ResultStore(tmp_path)
-        store.put("a" * 64, direct_cert)
-        # kill -9 mid-index-write: the ledger is torn, the cert is intact
-        (tmp_path / "index.json").write_text('{"version": 1, "entr')
-        recovered = ResultStore(tmp_path)
-        assert "a" * 64 in recovered
-        assert recovered.get("a" * 64) is not None
+        store.put(KEY64, direct_cert)
+        store.put("b" * 64, direct_cert)
+        files = sorted(
+            str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+            if p.is_file()
+        )
+        assert files == [f"certs/{KEY64}.json", f"certs/{'b' * 64}.json"]
+        assert store.keys() == [KEY64, "b" * 64]
+
+    def test_absent_key_is_a_plain_miss(self, tmp_path):
+        before = _corrupt_count()
+        assert ResultStore(tmp_path).get(KEY64) is None
+        assert _corrupt_count() == before
 
     def test_corrupt_certificate_evicted_not_served(self, tmp_path, direct_cert):
         store = ResultStore(tmp_path)
-        store.put("a" * 64, direct_cert)
-        path = store.cert_path("a" * 64)
+        store.put(KEY64, direct_cert)
+        path = store.cert_path(KEY64)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x40
         path.write_bytes(bytes(data))
-        assert store.get("a" * 64) is None  # never serve unverifiable bits
-        assert "a" * 64 not in store.entries
+        assert store.get(KEY64) is None  # never serve unverifiable bits
+        assert KEY64 not in store.keys()
         assert not path.exists()
+
+    def test_certificate_without_integrity_block_evicted(
+        self, tmp_path, direct_cert
+    ):
+        store = ResultStore(tmp_path)
+        store.put(KEY64, direct_cert)
+        path = store.cert_path(KEY64)
+        doc = json.loads(path.read_text())
+        del doc["integrity"]
+        doc["verdicts"]["dfa_detection"]["status"] = "TAMPERED"
+        path.write_text(json.dumps(doc))
+        assert store.get(KEY64) is None
+        assert not path.exists()
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "corrupt"])
+    @pytest.mark.parametrize("key", MALFORMED_KEYS)
+    def test_malformed_key_touches_no_file(self, tmp_path, direct_cert, key, valid):
+        """A key that is not 64 lowercase hex characters is a miss: a
+        certificate at the path it would name is neither served (read) nor
+        evicted (deleted), and put refuses it before writing."""
+        store = ResultStore(tmp_path / "store")
+        path = store.cert_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if valid:
+            direct_cert.save(path)
+        else:
+            path.write_text('{"decoy": true}')
+        before = path.read_bytes()
+        corrupt = _corrupt_count()
+        assert store.get(key) is None
+        assert path.read_bytes() == before
+        assert _corrupt_count() == corrupt
+        with pytest.raises(ValueError, match="not a request key"):
+            store.put(key, direct_cert)
+        assert path.read_bytes() == before
+
+    def test_index_file_from_an_older_store_is_ignored(
+        self, tmp_path, direct_cert
+    ):
+        store = ResultStore(tmp_path)
+        store.put(KEY64, direct_cert)
+        (tmp_path / "index.json").write_text('{"version": 1, "entr')
+        assert ResultStore(tmp_path).get(KEY64) is not None
+
+
+def _raw_http(port: int, request: bytes) -> tuple[bytes, dict]:
+    """Send ``request`` verbatim; return the status line and JSON body."""
+    with socket.create_connection(("127.0.0.1", port), 10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0], json.loads(body)
+
+
+def _never_certify(design, *, key, config):
+    raise AssertionError("this request must not start a campaign")
+
+
+class TestStoreOverHttp:
+    def test_files_only_store_serves_a_bit_identical_hit(
+        self, tmp_path, tiny_design, direct_cert
+    ):
+        """A store holding nothing but ``certs/<key>.json``, copied from
+        another store, answers from disk without a campaign."""
+        key = request_key(CertifyRequest.from_dict(TINY), tiny_design)
+        origin = ResultStore(tmp_path / "origin")
+        origin.put(key, direct_cert)
+        copied = tmp_path / "copy" / "certs" / f"{key}.json"
+        copied.parent.mkdir(parents=True)
+        shutil.copyfile(origin.cert_path(key), copied)
+        assert [p for p in (tmp_path / "copy").rglob("*") if p.is_file()] == [
+            copied
+        ]
+        with running(tmp_path / "copy", certify=_never_certify) as (
+            service, client,
+        ):
+            status, doc = client.submit(TINY)
+            health = client.health()
+        assert status == 200 and doc["cached"] == "store"
+        assert health["counters"]["campaigns_started"] == 0
+        assert health["store"]["entries"] == 1
+        served = Certificate.from_dict(doc["certificate"])
+        assert served.render() == direct_cert.render()
+        assert copied.read_bytes() == origin.cert_path(key).read_bytes()
+
+    @pytest.mark.parametrize("path", ["../victim", "../../victim"])
+    def test_path_shaped_key_is_a_404_that_touches_no_file(self, tmp_path, path):
+        store_dir = tmp_path / "store"
+        decoys = [store_dir / "victim.json", tmp_path / "victim.json"]
+        with running(store_dir) as (service, client):
+            for decoy in decoys:
+                decoy.write_text('{"decoy": true}')
+            status, doc = _raw_http(
+                service.port,
+                f"GET /certificate/{path} HTTP/1.1\r\nHost: x\r\n\r\n".encode(),
+            )
+        assert status.startswith(b"HTTP/1.1 404 ")
+        assert doc == {"status": "not_found", "key": path}
+        for decoy in decoys:
+            assert decoy.read_text() == '{"decoy": true}'
+
+
+#: request fields refused as the request is parsed
+BAD_FIELDS = [
+    {"cipher": 5},
+    {"seed": "abc"},
+    {"seed": -1},
+    {"rounds": "x"},
+    {"rounds": 2.5},
+    {"deadline_s": "soon"},
+    {"deadline_s": -1},
+    {"models": "single"},
+    {"models": ["bogus"]},
+    {"models": []},
+    {"cycles": []},
+    {"cycles": ["1"]},
+]
+
+#: request fields refused once the design is built: the cipher checks its
+#: rounds and λ-variants, and the cycles must lie within those rounds
+BAD_FOR_DESIGN = [{"rounds": 0}, {"variant": "bogus"}, {"cycles": [9]}]
+
+
+class TestBadRequests:
+    @pytest.mark.parametrize("change", BAD_FIELDS, ids=str)
+    def test_bad_field_refused_at_parse(self, change):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            CertifyRequest.from_dict({**TINY, **change})
+
+    def test_bad_fields_are_400s_that_start_no_campaign(self, tmp_path):
+        bad = BAD_FIELDS + BAD_FOR_DESIGN
+        with running(tmp_path / "store", certify=_never_certify) as (
+            service, client,
+        ):
+            for change in bad:
+                status, doc = client.submit({**TINY, **change})
+                assert status == 400, (change, status, doc)
+                assert doc["status"] == "bad_request", change
+            counters = client.health()["counters"]
+        assert counters["bad_requests"] == len(bad)
+        assert counters["campaigns_started"] == 0
+        assert counters["campaigns_failed"] == 0
 
 
 # --------------------------------------------------- end to end (real sweeps)
@@ -366,7 +531,7 @@ class TestDaemonKill9:
             proc.wait(10)
         submitter.join(10)
 
-        # restart over the debris: torn index / pending work is recovered
+        # restart over the debris: the pending work is resumed
         proc, client = self._spawn(store, port)
         try:
             status, doc = client.submit(request)
@@ -534,7 +699,7 @@ class TestCampaignFailures:
 
 
 class TestDrain:
-    def test_drain_stops_admission_finishes_inflight_persists_index(
+    def test_drain_stops_admission_finishes_inflight_keeps_certificate(
         self, tmp_path, direct_cert
     ):
         release = threading.Event()
@@ -562,9 +727,10 @@ class TestDrain:
             thread.join(15)
             assert inflight["status"] == 200  # in-flight work finished
         # the context manager completed request_shutdown: daemon exited
-        # and the index it persisted is immediately usable
+        # and the certificate it stored is immediately servable
         recovered = ResultStore(store_dir)
-        assert len(recovered.entries) == 1
+        assert len(recovered.keys()) == 1
+        assert recovered.get(recovered.keys()[0]) is not None
 
 
 # ------------------------------------------- observability surface (ISSUE 10)
@@ -612,17 +778,12 @@ class TestHttpSurface:
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_bad_content_length_is_a_400_not_a_crash(self, tmp_path, caplog, length):
         with running(tmp_path / "store") as (service, client):
-            with socket.create_connection(("127.0.0.1", service.port), 10) as sock:
-                sock.sendall(
-                    f"POST /certify HTTP/1.1\r\nHost: x\r\n"
-                    f"Content-Length: {length}\r\n\r\n{{}}".encode()
-                )
-                reply = b""
-                while chunk := sock.recv(65536):
-                    reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 400 ")
-        doc = json.loads(body)
+            status, doc = _raw_http(
+                service.port,
+                f"POST /certify HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}".encode(),
+            )
+        assert status.startswith(b"HTTP/1.1 400 ")
         assert doc["status"] == "bad_request"
         assert length in doc["error"]
         assert "request handler crashed" not in caplog.text
@@ -810,9 +971,9 @@ class TestServiceChaos:
         ) as (service, client):
             status, _ = client.submit(TINY)
             assert status == 200
-        # the context manager drained despite the injected drain fault;
-        # the index was still persisted on the way out
-        assert len(ResultStore(store_dir).entries) == 1
+        # the context manager drained despite the injected drain fault,
+        # and the certificate stored before it is still there
+        assert len(ResultStore(store_dir).keys()) == 1
 
 
 # -------------------------------------------------- eager env validation
