@@ -9,6 +9,7 @@ map) rather than a typed-in table.
 
 from __future__ import annotations
 
+from repro.ciphers.rounds import check_rounds
 from repro.ciphers.sbox import SBox
 
 __all__ = ["AES128", "AES_SBOX", "gf_mul"]
@@ -89,11 +90,7 @@ class AES128:
         if len(key) != 16:
             raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
         if rounds is not None:
-            if not 1 <= rounds <= type(self).rounds:
-                raise ValueError(
-                    f"rounds must be in [1, {type(self).rounds}]: {rounds}"
-                )
-            self.rounds = rounds
+            self.rounds = check_rounds(rounds, type(self).rounds)
         self.key = bytes(key)
         self.round_keys = self._expand_key(key)
 

@@ -11,6 +11,7 @@ generators are checked against these references.
 
 from __future__ import annotations
 
+from repro.ciphers.rounds import check_rounds
 from repro.ciphers.sbox import GIFT_SBOX
 
 __all__ = [
@@ -77,11 +78,7 @@ class Gift64:
         if key < 0 or key >> self.key_bits:
             raise ValueError("key does not fit in 128 bits")
         if rounds is not None:
-            if not 1 <= rounds <= type(self).rounds:
-                raise ValueError(
-                    f"rounds must be in [1, {type(self).rounds}]: {rounds}"
-                )
-            self.rounds = rounds
+            self.rounds = check_rounds(rounds, type(self).rounds)
         self.key = key
         self.round_keys = self._key_schedule(key)
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.ciphers.aes import AES128, AES_SBOX
 from repro.ciphers.aes_rows import encrypt_rows
+from repro.ciphers.rounds import check_rounds
 from repro.ciphers.spn import CipherSpec, SpnCore
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.circuit import Circuit
@@ -115,9 +116,7 @@ class AesSpec(CipherSpec):
     def __init__(self, *, rounds: int | None = None) -> None:
         if rounds is not None:
             # Reduced-round instance (CI smoke sweeps, quick certifies).
-            if not 1 <= rounds <= ROUNDS:
-                raise ValueError(f"rounds must be in [1, {ROUNDS}]: {rounds}")
-            self.rounds = rounds
+            self.rounds = check_rounds(rounds, ROUNDS)
         # the key schedule always uses the plain S-box (paper §III: "the
         # key schedule is not affected")
         self._key_sbox = synthesize_sbox(AES_SBOX.truthtable(), name="aes_key_sbox")

@@ -19,6 +19,7 @@ from repro.ciphers.gift import (
     Gift64,
     Gift128,
 )
+from repro.ciphers.rounds import check_rounds
 from repro.ciphers.sbox import GIFT_SBOX
 from repro.ciphers.spn import SpnCore, SpnSpec, build_spn_core
 from repro.netlist.builder import CircuitBuilder
@@ -72,11 +73,7 @@ class GiftSpec(SpnSpec):
         if rounds is not None:
             # Reduced-round instance (CI smoke sweeps, quick certifies);
             # the netlist stays spec-faithful per round.
-            if not 1 <= rounds <= type(self).rounds:
-                raise ValueError(
-                    f"rounds must be in [1, {type(self).rounds}]: {rounds}"
-                )
-            self.rounds = rounds
+            self.rounds = check_rounds(rounds, type(self).rounds)
 
     def reference(self, key: int) -> Gift64:
         return Gift64(key, rounds=self.rounds)

@@ -10,6 +10,7 @@ the base design every countermeasure wraps.
 from __future__ import annotations
 
 from repro.ciphers.present import PLAYER, ROUNDS, Present80
+from repro.ciphers.rounds import check_rounds
 from repro.ciphers.sbox import PRESENT_SBOX
 from repro.ciphers.spn import SpnCore, SpnSpec, build_spn_core
 from repro.netlist.builder import CircuitBuilder
@@ -39,9 +40,7 @@ class PresentSpec(SpnSpec):
             # The netlist stays spec-faithful per round; only the iteration
             # count shrinks, and reference() returns a matching
             # reduced-round oracle so KAT-equivalence checks still apply.
-            if not 1 <= rounds <= ROUNDS:
-                raise ValueError(f"rounds must be in [1, {ROUNDS}]: {rounds}")
-            self.rounds = rounds
+            self.rounds = check_rounds(rounds, ROUNDS)
         self._key_sbox_circuit = synthesize_sbox(
             self.sbox.truthtable(), name="present_key_sbox"
         )

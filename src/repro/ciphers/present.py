@@ -12,6 +12,7 @@ test vectors from the CHES 2007 paper.
 
 from __future__ import annotations
 
+from repro.ciphers.rounds import check_rounds
 from repro.ciphers.sbox import PRESENT_SBOX, SBox
 
 __all__ = ["Present80", "Present128", "PLAYER", "PLAYER_INV", "ROUNDS"]
@@ -56,11 +57,7 @@ class Present80:
         if key < 0 or key >> self.key_bits:
             raise ValueError(f"key does not fit in {self.key_bits} bits")
         if rounds is not None:
-            if not 1 <= rounds <= type(self).rounds:
-                raise ValueError(
-                    f"rounds must be in [1, {type(self).rounds}]: {rounds}"
-                )
-            self.rounds = rounds
+            self.rounds = check_rounds(rounds, type(self).rounds)
         self.key = key
         self.round_keys = self._key_schedule(key)
 

@@ -14,6 +14,17 @@ against PRESENT-80:
   naïve duplication half the runs release *faulty* ciphertexts (the paper's
   visible bias); ours detects every effective fault, so nothing faulty is
   ever released.
+
+Each series keeps only outcome counts and a 16-bin histogram, so the
+in-process path never holds a campaign's arrays: it reduces
+:func:`~repro.faults.campaign.campaign_chunks` one classified 4,096-run
+chunk at a time, adding each chunk's counts and its
+:func:`~repro.attacks.sifa.ineffective_distribution`.  Its memory is the
+simulator plus one chunk, not the 80,000 runs' stored byte rows.  With an
+:class:`~repro.faults.ExecutorConfig` a series runs the sharded,
+checkpointed :func:`~repro.faults.run_campaign` and applies the same
+reduction to the merged result as a single chunk; per-block RNG keying
+makes the two paths give the same series.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from repro.ciphers.spn import SpnSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
 from repro.countermeasures.base import ProtectedDesign
 from repro.faults import ExecutorConfig, FaultSpec, FaultType, Outcome, run_campaign
+from repro.faults.campaign import campaign_chunks
 from repro.faults.models import last_round, sbox_input_net
 from repro.telemetry import trace
 
@@ -102,22 +114,34 @@ def _series_single_fault(
         n_runs=n_runs,
         both_cores=both_cores,
     ):
-        result = run_campaign(
-            design,
-            specs,
-            n_runs=n_runs,
-            key=key,
-            seed=seed,
-            executor=executor and executor.subdir(design.scheme),
-        )
-    dist = ineffective_distribution(result, spec, sbox)
+        if executor is None:
+            chunks = campaign_chunks(
+                design, specs, n_runs=n_runs, key=key, seed=seed
+            )
+        else:  # the merged sharded result, reduced as a single chunk
+            chunks = [
+                run_campaign(
+                    design,
+                    specs,
+                    n_runs=n_runs,
+                    key=key,
+                    seed=seed,
+                    executor=executor.subdir(design.scheme),
+                )
+            ]
+        counts = dict.fromkeys((o.name.lower() for o in Outcome), 0)
+        dist = np.zeros(1 << spec.sbox.n, dtype=np.int64)
+        for chunk in chunks:
+            for name, n in chunk.counts().items():
+                counts[name] += n
+            dist += ineffective_distribution(chunk, spec, sbox)
     return SchemeSeries(
         scheme=design.scheme,
         n_runs=n_runs,
-        counts=result.counts(),
+        counts=counts,
         distribution=dist,
         sei=sei_from_counts(dist),
-        faulty_released=result.count(Outcome.EFFECTIVE),
+        faulty_released=counts["effective"],
     )
 
 

@@ -18,6 +18,7 @@ from repro.countermeasures import (
     build_three_in_one,
 )
 from repro.faults import ExecutorConfig, FaultSpec, FaultType, Outcome, run_campaign
+from repro.faults.campaign import campaign_chunks
 from repro.faults.models import sbox_input_net
 
 __all__ = ["FTA_PLAINTEXTS", "run_attack_matrix", "run_round_sweep"]
@@ -120,7 +121,13 @@ def run_round_sweep(
     target_bit: int = 2,
 ) -> list[list]:
     """Per-round campaign stats for naïve duplication and the three-in-one
-    design; one row per probed round (see bench_round_sweep for assertions)."""
+    design; one row per probed round (see bench_round_sweep for assertions).
+
+    A row keeps one rate and one count per design, so each campaign is
+    reduced one classified chunk at a time
+    (:func:`~repro.faults.campaign.campaign_chunks`) and never holds its
+    runs' arrays.
+    """
     spec = make_spec(cipher)
     key = _fit_key(key, spec.key_bits)
     if rounds is None:
@@ -136,7 +143,13 @@ def run_round_sweep(
         for design in designs.values():
             net = sbox_input_net(design.cores[0], target_sbox, target_bit)
             fault = FaultSpec.at(net, FaultType.STUCK_AT_0, round_ - 1)
-            res = run_campaign(design, [fault], n_runs=n_runs, key=key, seed=round_)
-            row.extend([res.rate(Outcome.INEFFECTIVE), res.count(Outcome.EFFECTIVE)])
+            runs = ineffective = effective = 0
+            for chunk in campaign_chunks(
+                design, [fault], n_runs=n_runs, key=key, seed=round_
+            ):
+                runs += chunk.n_runs
+                ineffective += chunk.count(Outcome.INEFFECTIVE)
+                effective += chunk.count(Outcome.EFFECTIVE)
+            row.extend([ineffective / runs if runs else 0.0, effective])
         rows.append(row)
     return rows

@@ -20,9 +20,10 @@ the runs they need and unpack only those.
 A :class:`RangeRun` owns one simulator for a run range: it draws the
 range's plaintexts and fault-free randomness and computes the reference
 once, then runs one faulted pass per fault scenario on the same simulator.
-The netlist is simulated only faulted.  Campaign chunks of :data:`CHUNK`
-lanes reuse one simulator per batch size; a certify shard shares one draw
-and one reference across all of its locations.
+The netlist is simulated only faulted.  :func:`iter_range` is the one
+chunk loop: chunks of :data:`CHUNK` lanes reuse one simulator per batch
+size, and a certify shard shares one draw and one reference across all of
+its locations.
 
 Everything is vectorised: an 80,000-run Fig. 4 series of 31-round
 three-in-one PRESENT-80 (2,825 gates) takes about half a second on one
@@ -49,14 +50,17 @@ shards of :attr:`ExecutorConfig.shard_runs
 the supervised shard executor (:func:`repro.faults.executor.run_sharded`),
 which adds a worker pool, checkpoints, resume, retries and timeouts.  The
 determinism contract lets it merge checkpointed shards into exactly the
-in-process result.
+in-process result.  Both keep the whole campaign's arrays, which the
+attacks need.  A caller that keeps only a summary reduces
+:func:`campaign_chunks` instead: the same in-process campaign as one
+classified :class:`CampaignResult` per chunk.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -84,7 +88,9 @@ __all__ = [
     "RNG_BLOCK",
     "CampaignResult",
     "RangeRun",
+    "campaign_chunks",
     "campaign_identity",
+    "iter_range",
     "run_campaign",
 ]
 
@@ -181,6 +187,46 @@ class RangeRun:
         return out.ciphertext_rows, out.fault
 
 
+def iter_range(
+    design: ProtectedDesign,
+    specs: Sequence[FaultSpec],
+    *,
+    key: int,
+    seed: int,
+    lo: int,
+    hi: int,
+    chunk: int = CHUNK,
+) -> Iterator[tuple[int, dict[str, np.ndarray]]]:
+    """Simulate runs ``[lo, hi)`` of the campaign keyed by ``seed``, one
+    chunk at a time.
+
+    Yields ``(start, arrays)`` per chunk of runs ``[start, start + n)``,
+    ``arrays`` holding that chunk's :data:`SHARD_KEYS` (the words as byte
+    rows).  This is the module's one chunk loop: :func:`run_range` drains
+    it into whole-range arrays, and :func:`campaign_chunks` classifies each
+    chunk for callers that reduce a campaign as it runs.  ``chunk`` is
+    rounded down to a whole number of RNG blocks and only bounds simulator
+    memory; per-block RNG keying makes the bits independent of it.  One
+    simulator serves every chunk of the same size, so a range builds at
+    most two (full chunks and a partial final one).
+    """
+    chunk = max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
+    sim = run = None
+    for start in range(lo, hi, chunk):
+        stop = min(start + chunk, hi)
+        if sim is None or sim.batch != stop - start:
+            sim = run = None  # free the old simulator before sizing a new one
+            sim = design.simulator(stop - start)
+        run = RangeRun(design, sim, key=key, seed=seed, lo=start)
+        released, flags = run.faulted(specs)
+        yield start, {
+            "plaintext": run.plaintext,
+            "released": released,
+            "expected": run.expected,
+            "fault_flags": flags,
+        }
+
+
 def run_range(
     design: ProtectedDesign,
     specs: Sequence[FaultSpec],
@@ -195,33 +241,28 @@ def run_range(
 
     Returns ``(plaintext, released, expected, fault_flags)`` for exactly
     those runs, the words as byte rows.  This is the shared kernel of the
-    single-shot path and every executor shard; per-block RNG keying makes
-    the output independent of how the range is batched (``chunk`` is
-    rounded down to a whole number of RNG blocks and only bounds simulator
-    memory).  One simulator serves every chunk of the same size, so a
-    range builds at most two (full chunks and a partial final one).
+    single-shot :func:`run_campaign` and every executor shard: it drains
+    :func:`iter_range` (same ``chunk``) into arrays preallocated for the
+    whole range.  Callers that keep only a summary of a campaign (the
+    Fig. 4/5 series, the round sweep) reduce :func:`campaign_chunks`
+    instead, so no array sized by the run count is allocated.
     """
     width = (design.spec.block_bits + 7) // 8
-    chunk = max(RNG_BLOCK, chunk - chunk % RNG_BLOCK)
     n = hi - lo
-    pt = np.empty((n, width), dtype=np.uint8)
-    rel = np.empty((n, width), dtype=np.uint8)
-    exp = np.empty((n, width), dtype=np.uint8)
-    flags = np.empty(n, dtype=np.uint8)
-
+    arrays = {
+        "plaintext": np.empty((n, width), dtype=np.uint8),
+        "released": np.empty((n, width), dtype=np.uint8),
+        "expected": np.empty((n, width), dtype=np.uint8),
+        "fault_flags": np.empty(n, dtype=np.uint8),
+    }
     with trace.span("campaign.run_range", scheme=design.scheme, lo=lo, hi=hi):
-        sim = None
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            if sim is None or sim.batch != stop - start:
-                sim = run = None  # free the old simulator before sizing a new one
-                sim = design.simulator(stop - start)
-            run = RangeRun(design, sim, key=key, seed=seed, lo=start)
-            rows = slice(start - lo, stop - lo)
-            pt[rows] = run.plaintext
-            exp[rows] = run.expected
-            rel[rows], flags[rows] = run.faulted(specs)
-    return pt, rel, exp, flags
+        for start, chunk_arrays in iter_range(
+            design, specs, key=key, seed=seed, lo=lo, hi=hi, chunk=chunk
+        ):
+            rows = slice(start - lo, start - lo + len(chunk_arrays["fault_flags"]))
+            for name, values in chunk_arrays.items():
+                arrays[name][rows] = values
+    return tuple(arrays[name] for name in SHARD_KEYS)
 
 
 @dataclass
@@ -516,14 +557,55 @@ def run_campaign(
             "campaign.run", scheme=design.scheme, n_runs=n_runs, seed=seed
         ):
             arrays = _campaign_task(design, specs, key, seed, 0, max(n_runs, 0))
-            outcomes = _classify(design, arrays)
-        extra = {"variant": design.variant, "n_runs": n_runs}
-    else:
-        arrays, extra = _run_sharded(
-            design, specs, n_runs=n_runs, key=key, seed=seed,
-            config=executor, shard_hook=shard_hook,
-        )
-        outcomes = _classify(design, arrays)
+            return _classified(
+                design, specs, key, arrays,
+                {"variant": design.variant, "n_runs": n_runs},
+            )
+    arrays, extra = _run_sharded(
+        design, specs, n_runs=n_runs, key=key, seed=seed,
+        config=executor, shard_hook=shard_hook,
+    )
+    return _classified(design, specs, key, arrays, extra)
+
+
+def campaign_chunks(
+    design: ProtectedDesign,
+    specs: Sequence[FaultSpec],
+    *,
+    n_runs: int,
+    key: int,
+    seed: int,
+) -> Iterator[CampaignResult]:
+    """The in-process campaign of :func:`run_campaign`, one classified
+    chunk of at most :data:`CHUNK` runs at a time, in run order.
+
+    Each chunk is a :class:`CampaignResult` over its own runs only;
+    concatenating the chunks' arrays gives ``run_campaign(...,
+    executor=None)`` exactly.  A caller that keeps a summary (outcome
+    counts, a histogram) reduces each chunk and drops it, so its memory is
+    one chunk and the simulator, not the campaign's stored rows.
+    """
+    for _, arrays in iter_range(
+        design, specs, key=key, seed=seed, lo=0, hi=n_runs
+    ):
+        yield _classified(design, specs, key, arrays, {})
+
+
+def _classified(
+    design: ProtectedDesign,
+    specs: Sequence[FaultSpec],
+    key: int,
+    arrays: dict[str, np.ndarray],
+    extra: dict,
+) -> CampaignResult:
+    """``arrays`` with their outcomes, as a :class:`CampaignResult`."""
+    outcomes = classify(
+        arrays["released"],
+        arrays["fault_flags"],
+        arrays["expected"],
+        flag_observable=design.flag_observable,
+        infective=design.infective,
+    )
     return CampaignResult(
         scheme=design.scheme,
         key=key,
@@ -532,14 +614,4 @@ def run_campaign(
         **arrays,
         outcomes=outcomes,
         extra=extra,
-    )
-
-
-def _classify(design: ProtectedDesign, arrays: dict[str, np.ndarray]) -> np.ndarray:
-    return classify(
-        arrays["released"],
-        arrays["fault_flags"],
-        arrays["expected"],
-        flag_observable=design.flag_observable,
-        infective=design.infective,
     )

@@ -50,7 +50,13 @@ def fanin_cone(
     giving sequential reachability; without it the cone stops at DFF outputs,
     giving the single-cycle combinational cone.
     """
-    drivers = gate_by_output(circuit)
+    return _fanin_cone(gate_by_output(circuit), nets, through_dffs=through_dffs)
+
+
+def _fanin_cone(
+    drivers: dict[int, Gate], nets, *, through_dffs: bool = True
+) -> set[int]:
+    """:func:`fanin_cone` over a prebuilt driver map."""
     seen: set[int] = set()
     work = deque(nets)
     while work:
@@ -86,6 +92,16 @@ def fanout_cone(
     return seen
 
 
+def _logic_nets(drivers: dict[int, Gate], nets) -> set[int]:
+    """The driven nets of ``nets`` that are not primary inputs or constants."""
+    return {
+        net
+        for net in nets
+        if (gate := drivers.get(net)) is not None
+        and gate.gtype not in (GateType.INPUT, GateType.CONST0, GateType.CONST1)
+    }
+
+
 def shared_logic(circuit: Circuit, outputs_a, outputs_b) -> set[int]:
     """Nets inside both fan-in cones, excluding primary inputs and constants.
 
@@ -95,15 +111,9 @@ def shared_logic(circuit: Circuit, outputs_a, outputs_b) -> set[int]:
     verify core independence.
     """
     drivers = gate_by_output(circuit)
-    cone_a = fanin_cone(circuit, outputs_a)
-    cone_b = fanin_cone(circuit, outputs_b)
-    common = cone_a & cone_b
-    return {
-        net
-        for net in common
-        if (gate := drivers.get(net)) is not None
-        and gate.gtype not in (GateType.INPUT, GateType.CONST0, GateType.CONST1)
-    }
+    return _logic_nets(
+        drivers, _fanin_cone(drivers, outputs_a) & _fanin_cone(drivers, outputs_b)
+    )
 
 
 # --------------------------------------------------------------------- lint
@@ -120,15 +130,8 @@ def datapath_nets(circuit: Circuit, cores) -> set[int]:
     boundary.  The coverage certifier sweeps exactly this set.
     """
     drivers = gate_by_output(circuit)
-    union: set[int] = set()
-    for core in cores:
-        union |= fanin_cone(circuit, core.ciphertext)
-    return {
-        net
-        for net in union
-        if (gate := drivers.get(net)) is not None
-        and gate.gtype not in (GateType.INPUT, GateType.CONST0, GateType.CONST1)
-    }
+    cones = [_fanin_cone(drivers, core.ciphertext) for core in cores]
+    return _logic_nets(drivers, set().union(*cones))
 
 
 class LintError(CircuitError):
@@ -236,7 +239,7 @@ def lint_countermeasure(design, *, strict: bool = True) -> LintReport:
     report = LintReport(scheme=design.scheme)
 
     # 1 — core independence
-    cones = [fanin_cone(circuit, core.ciphertext) for core in design.cores]
+    cones = [_fanin_cone(drivers, core.ciphertext) for core in design.cores]
     shared: set[int] = set()
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
@@ -254,11 +257,12 @@ def lint_countermeasure(design, *, strict: bool = True) -> LintReport:
             continue
         report.shared_nets.append(net)
 
-    # 2 — comparator reachability
-    datapath = datapath_nets(circuit, design.cores)
+    # 2 — comparator reachability: the datapath is datapath_nets, read
+    # off the cones above
+    datapath = _logic_nets(drivers, set().union(*cones))
     report.n_datapath = len(datapath)
     if "fault" in circuit.outputs:
-        observable = fanin_cone(circuit, circuit.outputs["fault"])
+        observable = _fanin_cone(drivers, circuit.outputs["fault"])
         report.unobservable_nets = sorted(datapath - observable)
     else:  # no comparator output at all: nothing is observable
         report.unobservable_nets = sorted(datapath)

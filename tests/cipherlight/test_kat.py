@@ -68,3 +68,14 @@ def test_rounds_out_of_range_rejected(entry):
         entry.make(rounds=0)
     with pytest.raises(ValueError, match="rounds"):
         entry.make(rounds=entry.full_rounds + 1)
+
+
+@pytest.mark.parametrize("rounds", [2.5, True, "8"], ids=["float", "bool", "str"])
+def test_non_integer_rounds_rejected(entry, rounds):
+    """Spec and software reference both refuse a round count that is not
+    an int (``True`` would otherwise build a one-round cipher)."""
+    with pytest.raises(ValueError, match="rounds must be an integer"):
+        entry.make(rounds=rounds)
+    reference = type(entry.make(rounds=entry.fast_rounds).reference(1))
+    with pytest.raises(ValueError, match="rounds must be an integer"):
+        reference(1, rounds=rounds)

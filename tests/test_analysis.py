@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netlist import analysis
 from repro.netlist.analysis import (
     LintError,
     datapath_nets,
@@ -186,3 +187,20 @@ class TestLintCountermeasure:
         for port in circuit.inputs.values():
             assert nets.isdisjoint(port)
         assert circuit.outputs["fault"][0] not in nets
+
+    def test_lint_builds_one_driver_map(self, ours_prime, monkeypatch):
+        """Lint derives its datapath from the cones it already walked, so
+        a two-core design costs one driver map, not one per cone."""
+        built = []
+        original = analysis.gate_by_output
+
+        def counting(circuit):
+            built.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(analysis, "gate_by_output", counting)
+        report = lint_countermeasure(ours_prime)
+        assert len(built) == 1
+        assert report.n_datapath == len(
+            datapath_nets(ours_prime.circuit, ours_prime.cores)
+        )

@@ -3,8 +3,10 @@
 Campaign words stay packed from the RNG draw to the attack code: packed
 rows into the simulator, byte rows ``(runs, ceil(block / 8))`` out of it.
 These tests bound a campaign's traced peak below what its words alone
-would take unpacked, bound the traced peak of a paper-scale Fig. 4 series
-(campaign, then SIFA readout) at the default chunk, bound one
+would take unpacked, bound the traced peak of a paper-scale campaign and
+its SIFA readout at the default chunk, bound the traced peak of an
+in-process Fig. 4 series (reduced chunk by chunk) below what the
+campaign's stored rows alone would add, bound one
 :class:`RangeRun` pass above its simulator below what a single
 ``(lanes, block)`` bit matrix of its words costs on top of the byte rows it
 keeps, bound what building a :class:`RangeRun` (draws plus the software
@@ -24,6 +26,7 @@ import pytest
 from repro.attacks.sifa import ineffective_distribution
 from repro.ciphers.netlist_present import PresentSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
+from repro.evaluation import figures
 from repro.faults import (
     RNG_BLOCK,
     CampaignResult,
@@ -86,10 +89,12 @@ def test_campaign_peak_stays_below_its_unpacked_words(
     assert peak < unpacked_words, f"traced peak {peak / 1e6:.1f} MB"
 
 
-#: traced bytes one 80,000-run Fig. 4 series of 31-round three-in-one
-#: PRESENT-80 may allocate.  At the default 4,096-lane chunk the campaign
-#: peaks at 4.2 MiB: 2.0 MiB of stored results, the 1.4 MiB value matrix,
-#: the 0.4 MiB gather scratch.  At 8,192-lane chunks it took 6.2 MiB.
+#: traced bytes one 80,000-run campaign of 31-round three-in-one
+#: PRESENT-80 may allocate, as the attacks run it: whole, then read out.
+#: At the default 4,096-lane chunk it peaks at 4.2 MiB: 2.0 MiB of stored
+#: results, the 1.4 MiB value matrix, the 0.4 MiB gather scratch.  At
+#: 8,192-lane chunks it took 6.2 MiB.  The Fig. 4/5 series no longer take
+#: this path; ``STREAMED_SERIES_BUDGET`` bounds theirs.
 SERIES_BUDGET = 5 * 2**20
 
 #: traced bytes the series' SIFA readout may allocate above the stored
@@ -122,6 +127,39 @@ def test_fig4_series_peak_at_the_default_chunk(backend, monkeypatch):
     assert dist.sum() == result.count(Outcome.INEFFECTIVE) > 0
     assert peak < SERIES_BUDGET, f"campaign peak {peak / 2**20:.2f} MiB"
     assert readout < READOUT_BUDGET, f"SIFA readout {readout / 2**20:.2f} MiB"
+
+
+#: traced bytes an in-process 80,000-run Fig. 4 series (naive duplication,
+#: then three-in-one PRESENT-80) may allocate.  It reduces one 4,096-run
+#: chunk at a time, so it peaks at about 2.3 MiB on either kernel: the
+#: simulator and one chunk.  The 2.0 MiB of rows a whole campaign stores
+#: would take it past the budget (4.2 MiB when the series kept them).
+STREAMED_SERIES_BUDGET = int(2.75 * 2**20)
+
+
+@pytest.mark.parametrize("backend", ["levelized", "compiled"])
+def test_streamed_fig4_series_holds_no_campaign_rows(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+    spec = PresentSpec()
+    naive, ours = build_naive_duplication(spec), build_three_in_one(spec)
+    # the figure builds its designs through these module globals
+    monkeypatch.setattr(figures, "build_naive_duplication", lambda _: naive)
+    monkeypatch.setattr(figures, "build_three_in_one", lambda _: ours)
+    n_runs = 80_000
+    # compile outside the traced window
+    figures.figure4(n_runs=RNG_BLOCK, key=TEST_KEY80, spec=spec)
+    tracemalloc.start()
+    try:
+        fig = figures.figure4(n_runs=n_runs, key=TEST_KEY80, spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for series in (fig.naive, fig.ours):
+        assert sum(series.counts.values()) == n_runs
+        assert series.distribution.sum() == series.counts["ineffective"] > 0
+    stored_rows = 3 * n_runs * 8
+    assert peak + stored_rows > STREAMED_SERIES_BUDGET
+    assert peak < STREAMED_SERIES_BUDGET, f"series peak {peak / 2**20:.2f} MiB"
 
 
 #: traced bytes one RangeRun pass may allocate above its simulator.  A
