@@ -91,6 +91,16 @@ class CertifyConfig:
 
     def __post_init__(self) -> None:
         _require_int("runs_per_location", self.runs_per_location, minimum=1)
+        _require_int("shard_locations", self.shard_locations, minimum=1)
+        _require_int("jobs", self.jobs, minimum=1)
+        wall = self.wall_budget  # 0 is legal: no shard runs
+        if wall is not None and (type(wall) not in (int, float) or not wall >= 0):
+            raise ValueError(f"wall_budget must be None or >= 0 seconds, got {wall!r}")
+        if type(self.fail_fast) is not bool or type(self.resume) is not bool:
+            raise ValueError(
+                f"fail_fast and resume must be bools, got {self.fail_fast!r} "
+                f"and {self.resume!r}"
+            )
         if self.budget is not None:
             _require_int("budget", self.budget, minimum=1)
         _require_int("seed", self.seed, minimum=0)
@@ -276,7 +286,7 @@ def certify_design(
     else:
         indices = np.arange(space.total, dtype=np.int64)
 
-    step = max(1, config.shard_locations)
+    step = config.shard_locations
     ranges = [
         (lo, min(lo + step, len(indices)))
         for lo in range(0, len(indices), step)
@@ -394,6 +404,11 @@ def certify_design(
         bucket = f"{model}/{ftype}"
         uncovered_per_stratum[bucket] = uncovered_per_stratum.get(bucket, 0) + 1
     degraded = bool(uncovered.size)
+    if not n_covered:
+        # An empty sweep (wall budget spent, every shard quarantined)
+        # proves nothing: skip its claims so the certificate cannot pass.
+        for claim in ("dfa_detection", "sifa_uniformity"):
+            verdicts[claim] = {"status": "skipped", "reason": "no location covered"}
     if degraded:
         # Sweep-derived claims hold only over the covered locations; the
         # structural lint ran in full and stays undegraded.

@@ -76,9 +76,9 @@ def _executor_config(args):
     """The campaign executor config the executor flags ask for.
 
     None — an in-process campaign — unless they ask for more than one
-    worker, a checkpoint or a resume.
+    worker or a checkpoint (a resume needs one).
     """
-    if (args.jobs or 1) == 1 and not args.checkpoint_dir and not args.resume:
+    if (args.jobs or 1) == 1 and not args.checkpoint_dir:
         return None
     from repro.faults.executor import ExecutorConfig
 
@@ -869,6 +869,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = build_parser().parse_args(argv)
     _configure_logging(args)
+    if getattr(args, "resume", False) and not args.checkpoint_dir:
+        print("invalid options: --resume needs --checkpoint-dir", file=sys.stderr)
+        return 2
+    if (getattr(args, "jobs", None) or 1) < 1:
+        print(f"invalid options: --jobs {args.jobs} is below 1", file=sys.stderr)
+        return 2
     # Eager environment validation: a typo'd REPRO_CHAOS schedule or
     # REPRO_SIM_BACKEND kernel name fails here, loudly, before any work —
     # not deep inside a campaign (or silently never firing at all).

@@ -162,7 +162,7 @@ class _Supervisor:
         self.task = task
         self.ranges = ranges
         self.config = config
-        #: the checkpoint ledger once :meth:`open_store` ran; None = no
+        #: the checkpoint store once :meth:`open_store` ran; None = no
         #: checkpoints
         self.store: CheckpointStore | None = None
         self.shard_hook = shard_hook
@@ -170,11 +170,11 @@ class _Supervisor:
         self.progress = progress
         self.results: dict[int, dict[str, np.ndarray]] = {}
         self.failures: dict[int, dict] = {}
-        #: attempt counts; seeded from the checkpoint ledger on resume so
+        #: attempt counts; seeded from quarantine records on resume so
         #: the retry budget survives interruption instead of resetting
         self.attempts: dict[int, int] = {}
         #: set once ``on_shard_done`` asks to stop (fail-fast); remaining
-        #: shards are left pending, never marked failed
+        #: shards are left unrun, never quarantined
         self.stopped = False
         #: set once the global wall budget runs out (graceful degradation)
         self.budget_exhausted = False
@@ -183,49 +183,37 @@ class _Supervisor:
     # -- checkpoints
 
     def open_store(self, identity: dict | None, keys: tuple[str, ...]) -> None:
-        """Start the checkpoint ledger, or on resume adopt its verified shards."""
+        """Write the checkpoint manifest, or on resume adopt verified shards."""
         from repro.faults.checkpoint import CheckpointCorrupt, CheckpointStore
 
-        store = CheckpointStore(self.config.checkpoint_dir, keys=keys)
-        if self.config.resume and store.exists:
+        store = CheckpointStore(
+            self.config.checkpoint_dir, keys=keys, ranges=self.ranges
+        )
+        if self.config.resume and store.manifest_path.exists():
             try:
                 store.load(identity)
             except CheckpointCorrupt as exc:
-                # A torn/bit-rotted ledger holds no trustworthy state:
-                # recover by starting fresh (every shard recomputes
-                # deterministically) instead of refusing the resume.
+                # A torn/bit-rotted manifest holds no results: write a
+                # fresh one; the shards still validate on their own.
                 log.warning(
-                    "checkpoint manifest unusable (%s); starting a "
-                    "fresh ledger and recomputing", exc,
+                    "checkpoint manifest unusable (%s); writing a fresh "
+                    "manifest and recomputing what does not validate", exc,
                 )
                 trace.event("checkpoint.recovered", error=str(exc))
                 metrics.inc("checkpoint.manifests_recovered")
-                store.create(identity or {}, self.ranges)
-            else:
-                for index, record in store.shards.items():
-                    # the retry ledger survives the interruption: a
-                    # resumed shard continues its attempt budget
-                    self.attempts[index] = record.attempts
-                    arrays = store.read_shard(index)
-                    if arrays is not None:
-                        self.results[index] = arrays
-                        lo, hi = self.ranges[index]
-                        self.progress.advance(
-                            hi - lo, shard=index, status="resumed"
-                        )
-                    else:
-                        # missing/corrupt archive or a previously
-                        # quarantined shard: recompute it
-                        # (deterministically) this time
-                        if record.status == "done":
-                            trace.event("checkpoint.shard_corrupt", shard=index)
-                            metrics.inc("checkpoint.shards_recomputed")
-                        record.status = "pending"
-                        record.error = ""
-                        record.error_kind = ""
-                store.flush()
+                store.create(identity or {})
         else:
-            store.create(identity or {}, self.ranges)
+            store.create(identity or {})
+        if self.config.resume:
+            for index, (lo, hi) in enumerate(self.ranges):
+                arrays = store.read_shard(index)
+                if arrays is not None:
+                    self.results[index] = arrays
+                    self.progress.advance(hi - lo, shard=index, status="resumed")
+                elif (record := store.quarantined(index)) is not None:
+                    # the retry budget survives the interruption: a
+                    # quarantined shard continues its attempt count
+                    self.attempts[index] = record["attempts"]
         self.store = store
 
     # -- shared bookkeeping
@@ -280,7 +268,6 @@ class _Supervisor:
         self.results[index] = arrays
         metrics.inc("executor.shards_completed")
         if self.store is not None:
-            self.store.shards[index].attempts = self.attempts[index]
             self.store.write_shard(index, arrays)
         self._advance(index, "done")
         if self.on_shard_done is not None and self.on_shard_done(index, arrays):

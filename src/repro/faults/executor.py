@@ -14,12 +14,12 @@ and :func:`repro.certify.certifier.certify_design`.
   :func:`repro.faults.campaign.run_range`), so the merged result is
   bit-identical to a single-shot run regardless of shard size, worker
   count, or how many times the sweep was interrupted and resumed.
-- **Checkpointing** — with a ``checkpoint_dir``, each finished shard is
-  persisted atomically as an ``.npz`` plus a JSON manifest entry
-  (:mod:`repro.faults.checkpoint`); ``resume=True`` skips shards whose
-  checkpoint verifies against its digest and recomputes the rest.  A
-  manifest that fails its own checksum is *recovered from* (fresh ledger,
-  full recompute), never a crash.
+- **Checkpointing** — with a ``checkpoint_dir``, the sweep writes its
+  manifest once and each finished shard as one atomic, self-validating
+  ``.npz`` (:mod:`repro.faults.checkpoint`); ``resume=True`` adopts the
+  shards whose archives validate against their range, their digest and
+  the campaign, and recomputes the rest.  A manifest that fails its own
+  checksum is *recovered from* (a fresh manifest), never a crash.
 - **Supervision** — shards get a wall-clock ``timeout`` (enforced with
   ``SIGALRM`` inside the worker where available; degrading to untimed
   execution with a one-time warning elsewhere), a supervisor-side
@@ -28,16 +28,16 @@ and :func:`repro.certify.certifier.certify_design`.
   exponential backoff, and a broken process pool is rebuilt and the lost
   shards resubmitted.
 - **Quarantine, not abort** — a shard that exhausts its retries is
-  *quarantined*: recorded in the manifest with its typed
-  :class:`~repro.resilience.errors.ErrorKind`, attempt count and last
-  error, and dropped from the merge.  The sweep completes with the
-  surviving shards (a campaign sets ``result.partial``) instead of dying
-  at 99%.
+  *quarantined*: its typed :class:`~repro.resilience.errors.ErrorKind`,
+  attempt count and last error go to ``ShardedRun.failures`` and, with a
+  checkpoint, to the shard's ``.failed.json`` record (whose attempt count
+  a resume continues from), and it is dropped from the merge.  The sweep
+  completes with the surviving shards (a campaign sets
+  ``result.partial``) instead of dying at 99%.
 - **Graceful degradation** — an optional global ``wall_budget`` stops
   scheduling new shards once spent; what ran is merged, what did not
-  stays ``pending`` in the manifest, and the run is flagged
-  ``budget_exhausted`` so callers (the certifier) can emit explicitly
-  degraded artefacts.
+  has no shard file yet, and the run is flagged ``budget_exhausted`` so
+  callers (the certifier) can emit explicitly degraded artefacts.
 - **Chaos-tested** — the execution sites are instrumented with
   :data:`repro.resilience.chaos.chaos` hooks (worker crash/raise/hang,
   checkpoint corruption, duplicated results); ``tests/test_chaos.py``
@@ -243,12 +243,12 @@ def run_sharded(
     certifier both shard through here.  ``identity`` pins checkpoints to
     one exact workload (resume refuses a mismatch with
     :class:`~repro.faults.checkpoint.CheckpointError`; a manifest that is
-    torn or fails its checksum is recovered from with a fresh ledger);
+    torn or fails its checksum is recovered from with a fresh manifest);
     ``keys`` names the arrays each shard produces.
     ``on_shard_done(index, arrays)`` runs in the supervisor process after
     each shard completes (and is persisted) — returning a truthy value
-    stops the sweep early, leaving the remaining shards ``pending`` in the
-    manifest (the certifier's fail-fast).
+    stops the sweep early, leaving the remaining shards unrun (the
+    certifier's fail-fast).
 
     ``label`` names the workload in progress lines and trace records.
     Observability: the whole sweep runs inside an ``executor.run_sharded``

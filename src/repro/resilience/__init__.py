@@ -13,7 +13,7 @@ substrate to that standard:
 :mod:`repro.resilience.errors`
     The typed error taxonomy (transient / timeout / crash / corruption /
     permanent) every shard failure is classified into, plus the
-    quarantine semantics recorded in checkpoint ledgers.
+    quarantine semantics recorded in checkpoint quarantine records.
 
 :mod:`repro.resilience.persist`
     Atomic tmp+\\ ``os.replace`` writes and SHA-256 content digests — the

@@ -16,7 +16,7 @@ site                   where it fires
                        (serial path and pool workers alike)
 ``checkpoint.shard``   after a shard ``.npz`` is persisted (corrupts the
                        file on disk, never the in-memory arrays)
-``checkpoint.manifest``after the manifest ledger is flushed
+``checkpoint.manifest``after the checkpoint manifest is written
 ``supervisor.result``  in the supervisor, as a finished shard's result is
                        folded in
 ``service.request``    in the certification daemon, as an admitted request

@@ -4,8 +4,8 @@ The paper classifies *circuit* faults (transient/permanent, stuck/flip)
 and demands that every one of them is detected or survived.  This module
 applies the same discipline to the campaign stack's own failures: every
 exception that kills a shard is classified into a small closed taxonomy,
-the classification is recorded in the checkpoint ledger and in the
-structured failure records a partial result carries, and the retry policy
+the classification is recorded in the quarantined shard's checkpoint
+record and in the structured failure records a partial result carries, and the retry policy
 can reason about it ("a timeout is worth retrying; a pickling bug is
 not going to fix itself").
 
@@ -28,10 +28,10 @@ permanent   a deterministic programming or input error that no
 ========== =====================================================
 
 A shard whose retries are exhausted is not dropped silently: it is
-*quarantined* — recorded as a structured :class:`ShardRecord` failure in
-the checkpoint manifest (status ``quarantined``, with the kind, attempt
-count and last error) and surfaced in ``result.extra["failed_shards"]``
-and certificate coverage, never as an unhandled exception.
+*quarantined* — recorded as a structured failure (kind, attempt count
+and last error) in the shard's ``shard_NNNNN.failed.json`` checkpoint
+record and surfaced in ``result.extra["failed_shards"]`` and certificate
+coverage, never as an unhandled exception.
 """
 
 from __future__ import annotations

@@ -247,13 +247,14 @@ def test_resuming_a_bit_matrix_checkpoint_is_refused(design, specs, result, tmp_
     packed shards: its manifest pins the old key set."""
     ck = tmp_path / "ck"
     n_runs = 2 * RNG_BLOCK
-    store = CheckpointStore(ck, keys=LEGACY_KEYS)
+    store = CheckpointStore(
+        ck, keys=LEGACY_KEYS, ranges=[(0, RNG_BLOCK), (RNG_BLOCK, n_runs)]
+    )
     store.create(
         campaign_identity(
             design, specs, key=TEST_KEY80, seed=21, n_runs=n_runs,
             shard_runs=RNG_BLOCK,
-        ),
-        [(0, RNG_BLOCK), (RNG_BLOCK, n_runs)],
+        )
     )
     rows = slice(0, RNG_BLOCK)
     store.write_shard(

@@ -155,6 +155,46 @@ class TestCertifyConfig:
                     naive2, key=KEY, config=CertifyConfig(budget=640, **empty)
                 )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"jobs": -2},
+            {"jobs": 0},
+            {"jobs": 2.5},
+            {"jobs": True},
+            {"shard_locations": 0},
+            {"shard_locations": -5},
+            {"wall_budget": -1.0},
+            {"wall_budget": "x"},
+            {"wall_budget": True},
+            {"wall_budget": float("nan")},
+            {"fail_fast": "no"},
+            {"resume": 1},
+        ],
+    )
+    def test_rejects_bad_executor_knobs(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            CertifyConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--resume"],
+            ["certify", "--jobs", "-3"],
+            ["certify", "--wall-budget", "-1"],
+            ["fig4", "--runs", "100", "--resume"],
+            ["fig4", "--runs", "100", "--jobs", "-1"],
+        ],
+    )
+    def test_cli_rejects_bad_executor_flags(self, argv, capsys):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        assert "invalid" in capsys.readouterr().err
+
+    def test_zero_wall_budget_is_legal(self):
+        assert CertifyConfig(wall_budget=0).wall_budget == 0
+
     def test_no_kernel_field(self):
         # the kernel is REPRO_SIM_BACKEND's; the certificate records it
         with pytest.raises(TypeError):
@@ -330,11 +370,49 @@ class TestCertify:
         for claim in ("dfa_detection", "sifa_uniformity"):
             assert cert.verdicts[claim].get("degraded") is True
             assert "uncovered_per_stratum" in cert.verdicts[claim]["note"]
+            # nothing was swept, so the sweep claims are skipped, not passed
+            assert cert.verdicts[claim]["status"] == "skipped"
+        assert not cert.passed
         assert "DEGRADED" in cert.summary()
         # degraded certificates still save/load with a passing checksum
         path = tmp_path / "degraded.json"
         cert.save(path)
         assert Certificate.load(path).degraded
+
+    def test_all_shards_quarantined_cannot_pass(self, ours2):
+        from repro.resilience import ChaosFault, ChaosSpec, chaos
+
+        chaos.configure(
+            ChaosSpec(seed=1, faults=(ChaosFault("worker", "raise", 1.0, 0),))
+        )
+        try:
+            cert = certify_design(
+                ours2,
+                key=KEY,
+                config=CertifyConfig(budget=64, runs_per_location=16, seed=3),
+            )
+        finally:
+            chaos.disable()
+        assert cert.coverage["locations_covered"] == 0
+        assert cert.coverage["failed_shards"]
+        assert cert.verdicts["dfa_detection"]["status"] == "skipped"
+        assert cert.verdicts["sifa_uniformity"]["status"] == "skipped"
+        assert not cert.passed
+
+    def test_cli_exits_1_on_a_certificate_that_covered_nothing(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "empty.json"
+        argv = [
+            "certify", "--scheme", "three-in-one", "--rounds", "2",
+            "--budget", "256", "--runs-per-location", "16",
+            "--wall-budget", "0", "--out", str(path),
+        ]
+        assert main(argv) == 1
+        assert main(["verify", str(path)]) == 1
+        assert "skipped" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

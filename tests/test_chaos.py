@@ -25,6 +25,7 @@ from repro.faults import (
     FaultType,
     run_campaign,
 )
+from repro.faults.campaign import SHARD_KEYS
 from repro.faults.checkpoint import CheckpointStore
 from repro.faults.models import sbox_input_net
 from repro.resilience import (
@@ -383,10 +384,13 @@ class TestStructuredDegradation:
             assert failure["attempts"] == 2
             assert failure["error_kind"] == "transient"
             assert "injected failure" in failure["error"]
-        store = CheckpointStore(ck)
+        store = CheckpointStore(
+            ck, keys=SHARD_KEYS, ranges=[(f["lo"], f["hi"]) for f in failures]
+        )
         store.load()
-        assert all(r.status == "quarantined" for r in store.shards.values())
-        assert all(r.error_kind == "transient" for r in store.shards.values())
+        records = [store.quarantined(i) for i in range(3)]
+        assert [r["attempts"] for r in records] == [2, 2, 2]
+        assert all(r["error_kind"] == "transient" for r in records)
 
         # ...and once the infrastructure heals, a resume completes fully
         # (the surviving retry budget grants each shard one fresh attempt)
@@ -400,6 +404,7 @@ class TestStructuredDegradation:
         )
         assert not healed.partial
         assert healed.n_runs == N_RUNS
+        assert not list(ck.glob("*.failed.json"))  # success clears them
 
     def test_wall_budget_degrades_gracefully(self, design3, fault3):
         result = _run(

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from repro.faults import (
     FaultType,
     run_campaign,
 )
-from repro.faults.campaign import run_range
-from repro.faults.checkpoint import CheckpointStore, shard_digest
+from repro.faults.campaign import SHARD_KEYS, campaign_identity, run_range
+from repro.faults.checkpoint import SHARD_META, CheckpointStore, shard_digest
 from repro.faults.classification import classify
 from repro.faults.models import sbox_input_net
 from repro.resilience.persist import sha256_bytes
@@ -34,6 +35,12 @@ from tests.conftest import TEST_KEY80
 
 N_RUNS = 2 * RNG_BLOCK + RNG_BLOCK // 2  # 2.5 shards at shard_runs=RNG_BLOCK
 SEED = 21
+RANGES = [(0, RNG_BLOCK), (RNG_BLOCK, 2 * RNG_BLOCK), (2 * RNG_BLOCK, N_RUNS)]
+
+
+def _store(ck):
+    """The campaign store of a checkpoint at ``shard_runs=RNG_BLOCK``."""
+    return CheckpointStore(ck, keys=SHARD_KEYS, ranges=RANGES)
 
 
 def _fault(design, present_spec):
@@ -82,6 +89,22 @@ def always_fail_shard_zero(index: int, attempt: int) -> None:
 def sleep_in_shard_zero(index: int, attempt: int) -> None:
     if index == 0:
         time.sleep(5)
+
+
+class RecordShards:
+    """Records every ``(shard, attempt)`` the serial supervisor runs."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[int, int]] = []
+
+    def __call__(self, index: int, attempt: int) -> None:
+        self.calls.append((index, attempt))
+
+
+class FailShardZeroAndRecord(RecordShards):
+    def __call__(self, index: int, attempt: int) -> None:
+        super().__call__(index, attempt)
+        always_fail_shard_zero(index, attempt)
 
 
 class TestDeterminism:
@@ -144,12 +167,12 @@ class TestDeterminism:
         )
         assert partial.partial and partial.n_runs == RNG_BLOCK
 
-        store = CheckpointStore(ck)
+        store = _store(ck)
         store.load()
-        digests_before = {
-            i: r.digest for i, r in store.shards.items() if r.status == "done"
-        }
-        assert list(digests_before) == [0]
+        assert [store.read_shard(i) is not None for i in range(3)] == [
+            True, False, False,
+        ]
+        shard0 = store.shard_path(0).stat()
 
         resumed = run_campaign(
             naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
@@ -160,12 +183,13 @@ class TestDeterminism:
         _assert_identical(resumed, single_shot)
         assert not resumed.partial
 
-        # the resumed ledger is complete and the surviving shard's digest
-        # is untouched (it was loaded from disk, not recomputed)
-        store = CheckpointStore(ck)
-        store.load()
-        assert all(r.status == "done" for r in store.shards.values())
-        assert store.shards[0].digest == digests_before[0]
+        # every shard now validates, and the surviving shard's archive is
+        # the same file (it was loaded from disk, not recomputed)
+        assert all(store.read_shard(i) is not None for i in range(3))
+        after = store.shard_path(0).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (
+            shard0.st_ino, shard0.st_mtime_ns,
+        )
 
     def test_resume_skips_completed_shards(
         self, naive_design, present_spec, single_shot, tmp_path
@@ -233,11 +257,50 @@ class TestSupervision:
         assert "injected persistent failure" in failure["traceback"]
         assert (result.released_bits == single_shot.released_bits[RNG_BLOCK:]).all()
 
-        store = CheckpointStore(ck)
+        store = _store(ck)
         store.load()
-        assert store.shards[0].status == "quarantined"
-        assert store.shards[0].attempts == 2
-        assert store.shards[0].error_kind == "permanent"
+        record = store.quarantined(0)
+        assert record["attempts"] == 2
+        assert record["error_kind"] == "permanent"
+        assert "injected persistent failure" in record["error"]
+        assert store.quarantined(1) is None
+
+    def test_quarantine_attempts_survive_resume(
+        self, naive_design, present_spec, single_shot, tmp_path
+    ):
+        """A resumed quarantined shard continues its attempt count, and a
+        later success removes its quarantine record."""
+        fault = _fault(naive_design, present_spec)
+        ck = tmp_path / "ck"
+        config = ExecutorConfig(
+            shard_runs=RNG_BLOCK, checkpoint_dir=ck, retries=2, backoff=0.0
+        )
+        run_campaign(
+            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+            executor=config, shard_hook=always_fail_shard_zero,
+        )
+        assert (ck / "shard_00000.failed.json").exists()
+
+        # still failing: the budget of 3 attempts is spent, so the resume
+        # grants shard 0 exactly one more attempt (attempt 4)
+        hook = FailShardZeroAndRecord()
+        partial = run_campaign(
+            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+            executor=dataclasses.replace(config, resume=True), shard_hook=hook,
+        )
+        assert hook.calls == [(0, 4)]
+        [failure] = partial.extra["failed_shards"]
+        assert failure["attempts"] == 4
+        store = _store(ck)
+        store.load()
+        assert store.quarantined(0)["attempts"] == 4
+
+        healed = run_campaign(
+            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+            executor=dataclasses.replace(config, resume=True),
+        )
+        _assert_identical(healed, single_shot)
+        assert not list(ck.glob("*.failed.json"))
 
     def test_shard_timeout_enforced(self, naive_design, present_spec):
         fault = _fault(naive_design, present_spec)
@@ -295,11 +358,11 @@ class TestCheckpointIntegrity:
                     shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
                 ),
             )
-        assert "fresh ledger" in caplog.text
+        assert "fresh manifest" in caplog.text
         _assert_identical(resumed, single_shot)
-        store = CheckpointStore(ck)
-        store.load()  # the recovered ledger parses and verifies again
-        assert all(r.status == "done" for r in store.shards.values())
+        store = _store(ck)
+        store.load()  # the recovered manifest parses and verifies again
+        assert all(store.read_shard(i) is not None for i in range(3))
 
     def test_direct_load_of_corrupt_manifest_raises(
         self, naive_design, present_spec, tmp_path
@@ -309,7 +372,7 @@ class TestCheckpointIntegrity:
         ck = tmp_path / "ck"
         self._checkpointed(naive_design, present_spec, ck)
         (ck / "manifest.json").write_text("{ this is not json")
-        store = CheckpointStore(ck)
+        store = _store(ck)
         with pytest.raises(CheckpointCorrupt, match="corrupt"):
             store.load()
         # CheckpointCorrupt is a CheckpointError: old callers still catch it
@@ -326,7 +389,7 @@ class TestCheckpointIntegrity:
         # what a parse cannot
         raw = (ck / "manifest.json").read_text().replace(str(SEED), "99", 1)
         (ck / "manifest.json").write_text(raw)
-        store = CheckpointStore(ck)
+        store = _store(ck)
         with pytest.raises(CheckpointCorrupt, match="checksum"):
             store.load()
 
@@ -363,13 +426,14 @@ class TestCheckpointIntegrity:
     ):
         ck = tmp_path / "ck"
         self._checkpointed(naive_design, present_spec, ck)
-        store = CheckpointStore(ck)
+        store = _store(ck)
         store.load()
-        arrays = store.read_shard(1)
-        assert arrays is not None
-        arrays["released"] = arrays["released"].copy()
-        arrays["released"][0, 0] ^= 1
-        np.savez_compressed(store.shard_path(1), **arrays)
+        assert store.read_shard(1) is not None
+        # flip one bit and rewrite the archive with its validation member
+        with np.load(store.shard_path(1)) as data:
+            members = {k: data[k] for k in data.files}
+        members["released"][0, 0] ^= 1
+        np.savez_compressed(store.shard_path(1), **members)
         assert store.read_shard(1) is None  # digest mismatch detected
 
         fault = _fault(naive_design, present_spec)
@@ -381,19 +445,131 @@ class TestCheckpointIntegrity:
         )
         _assert_identical(resumed, single_shot)
 
-    def test_manifest_records_digests(self, naive_design, present_spec, tmp_path):
+    def test_shard_archives_carry_their_digests(
+        self, naive_design, present_spec, tmp_path
+    ):
+        """The manifest holds no per-shard state; each archive names its
+        range, its arrays' digest and the campaign it belongs to."""
         ck = tmp_path / "ck"
         self._checkpointed(naive_design, present_spec, ck)
         raw = json.loads((ck / "manifest.json").read_text())
+        assert set(raw) == {"version", "campaign", "environment", "keys", "checksum"}
         assert raw["version"] == 2
         assert raw["campaign"]["seed"] == SEED
         assert raw["campaign"]["n_runs"] == N_RUNS
-        assert len(raw["shards"]) == 3
-        store = CheckpointStore(ck)
+        store = _store(ck)
         store.load()
-        for index, record in store.shards.items():
+        for index, (lo, hi) in enumerate(RANGES):
             arrays = store.read_shard(index)
-            assert shard_digest(arrays) == record.digest
+            with np.load(store.shard_path(index)) as data:
+                meta = json.loads(str(data[SHARD_META]))
+            assert meta == {
+                "lo": lo,
+                "hi": hi,
+                "digest": shard_digest(arrays, SHARD_KEYS),
+                "campaign": store.campaign_digest,
+            }
+
+    def test_sweep_writes_the_manifest_once(
+        self, naive_design, present_spec, monkeypatch, tmp_path
+    ):
+        """Finishing a shard writes its archive, never the manifest."""
+        from repro.faults import checkpoint
+
+        written = []
+        write = checkpoint.atomic_write_text
+
+        def counting(path, text, *args, **kwargs):
+            written.append(Path(path).name)
+            return write(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "atomic_write_text", counting)
+        self._checkpointed(naive_design, present_spec, tmp_path / "ck")
+        assert written.count("manifest.json") == 1
+        assert sorted(p.name for p in (tmp_path / "ck").glob("shard_*")) == [
+            "shard_00000.npz", "shard_00001.npz", "shard_00002.npz",
+        ]
+
+    @pytest.mark.parametrize("source", ["other_index", "other_seed"])
+    def test_foreign_shard_file_is_recomputed(
+        self, naive_design, present_spec, single_shot, tmp_path, source
+    ):
+        """A valid archive of another shard or another campaign, copied
+        under shard 0's name, is not adopted: shard 0 runs again."""
+        ck = tmp_path / "ck"
+        self._checkpointed(naive_design, present_spec, ck)
+        if source == "other_index":
+            donor = ck / "shard_00001.npz"
+        else:
+            fault = _fault(naive_design, present_spec)
+            other = tmp_path / "other"
+            run_campaign(
+                naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80,
+                seed=SEED + 1,
+                executor=ExecutorConfig(shard_runs=RNG_BLOCK, checkpoint_dir=other),
+            )
+            donor = other / "shard_00000.npz"
+        (ck / "shard_00000.npz").write_bytes(donor.read_bytes())
+
+        hook = RecordShards()
+        fault = _fault(naive_design, present_spec)
+        resumed = run_campaign(
+            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+            ),
+            shard_hook=hook,
+        )
+        assert hook.calls == [(0, 1)]
+        _assert_identical(resumed, single_shot)
+
+    def test_checkpoint_with_a_shard_ledger_is_recomputed(
+        self, naive_design, present_spec, single_shot, tmp_path
+    ):
+        """The older layout — a per-shard ledger in the manifest and
+        archives without a validation member — resumes by recomputing
+        every shard, never by merging them."""
+        fault = _fault(naive_design, present_spec)
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        ledger = {}
+        for index, (lo, hi) in enumerate(RANGES):
+            arrays = dict(zip(SHARD_KEYS, run_range(
+                naive_design, [fault], key=TEST_KEY80, seed=SEED, lo=lo, hi=hi
+            )))
+            np.savez_compressed(ck / f"shard_{index:05d}.npz", **arrays)
+            ledger[str(index)] = {
+                "index": index, "lo": lo, "hi": hi, "status": "done",
+                "attempts": 1, "digest": shard_digest(arrays, SHARD_KEYS),
+                "error": "", "error_kind": "",
+            }
+        raw = {
+            "version": 2,
+            "campaign": campaign_identity(
+                naive_design, [fault], key=TEST_KEY80, seed=SEED,
+                n_runs=N_RUNS, shard_runs=RNG_BLOCK,
+            ),
+            "environment": {},
+            "keys": list(SHARD_KEYS),
+            "shards": ledger,
+        }
+        raw["checksum"] = sha256_bytes(json.dumps(raw, sort_keys=True).encode())
+        (ck / "manifest.json").write_text(json.dumps(raw))
+
+        hook = RecordShards()
+        resumed = run_campaign(
+            naive_design, [fault], n_runs=N_RUNS, key=TEST_KEY80, seed=SEED,
+            executor=ExecutorConfig(
+                shard_runs=RNG_BLOCK, checkpoint_dir=ck, resume=True
+            ),
+            shard_hook=hook,
+        )
+        assert hook.calls == [(0, 1), (1, 1), (2, 1)]
+        _assert_identical(resumed, single_shot)
+        # the recomputed archives replaced the older ones and validate
+        store = _store(ck)
+        store.load()
+        assert all(store.read_shard(i) is not None for i in range(3))
 
     def test_manifest_pins_campaign_identity(
         self, naive_design, present_spec, tmp_path
