@@ -43,7 +43,7 @@ from repro.certify.space import (
 from repro.countermeasures.base import ProtectedDesign
 from repro.faults.campaign import RangeRun, run_campaign
 from repro.faults.classification import Outcome, classify
-from repro.faults.executor import ExecutorConfig, run_sharded
+from repro.faults.executor import ExecutorConfig, require_int, run_sharded
 from repro.faults.models import FaultScenario
 from repro.netlist.analysis import lint_countermeasure
 from repro.netlist.simulator import resolve_backend
@@ -80,30 +80,25 @@ class CertifyConfig:
     fail_fast: bool = False
     #: locations per executor shard
     shard_locations: int = 64
-    # -- resilient-executor passthrough
+    # -- resilient-executor passthrough, checked by :meth:`executor`
     jobs: int = 1
     checkpoint_dir: object = None
     resume: bool = False
-    #: global wall-clock budget for the sweep; once spent the certifier
-    #: stops scheduling shards and emits a *degraded* partial certificate
-    #: with explicit uncovered-fault-space accounting (never an abort)
+    #: global wall-clock budget for the sweep (0 is legal: no shard runs);
+    #: once spent the certifier stops scheduling shards and emits a
+    #: *degraded* partial certificate with explicit uncovered-fault-space
+    #: accounting (never an abort)
     wall_budget: float | None = None
 
     def __post_init__(self) -> None:
-        _require_int("runs_per_location", self.runs_per_location, minimum=1)
-        _require_int("shard_locations", self.shard_locations, minimum=1)
-        _require_int("jobs", self.jobs, minimum=1)
-        wall = self.wall_budget  # 0 is legal: no shard runs
-        if wall is not None and (type(wall) not in (int, float) or not wall >= 0):
-            raise ValueError(f"wall_budget must be None or >= 0 seconds, got {wall!r}")
-        if type(self.fail_fast) is not bool or type(self.resume) is not bool:
-            raise ValueError(
-                f"fail_fast and resume must be bools, got {self.fail_fast!r} "
-                f"and {self.resume!r}"
-            )
+        require_int("runs_per_location", self.runs_per_location, minimum=1)
+        require_int("shard_locations", self.shard_locations, minimum=1)
+        self.executor()  # checks jobs, resume and wall_budget
+        if type(self.fail_fast) is not bool:
+            raise ValueError(f"fail_fast must be a bool, got {self.fail_fast!r}")
         if self.budget is not None:
-            _require_int("budget", self.budget, minimum=1)
-        _require_int("seed", self.seed, minimum=0)
+            require_int("budget", self.budget, minimum=1)
+        require_int("seed", self.seed, minimum=0)
         # An empty model or cycle selection is an empty fault space, which
         # every verdict would vacuously pass.
         if (
@@ -125,11 +120,14 @@ class CertifyConfig:
                 f"integers, got {self.cycles!r}"
             )
 
-
-def _require_int(name: str, value, *, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        kind = "positive" if minimum == 1 else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    def executor(self) -> ExecutorConfig:
+        """The shard executor's config for this sweep."""
+        return ExecutorConfig(
+            jobs=self.jobs,
+            checkpoint_dir=self.checkpoint_dir,
+            resume=self.resume,
+            wall_budget=self.wall_budget,
+        )
 
 
 def _certify_task(
@@ -243,26 +241,28 @@ def certify_design(
         lint=lint.to_dict(),
     )
 
+    # What a sweep of nothing covers; the sweep below fills in its share.
+    coverage = {
+        "locations_total": space.total,
+        "locations_planned": 0,
+        "locations_covered": 0,
+        "locations_uncovered": 0,
+        "uncovered_per_stratum": {},
+        "runs_executed": 0,
+        "fraction": 0.0,
+        "sampled": False,
+        "budget": config.budget,
+        "stopped_early": False,
+        "budget_exhausted": False,
+        "degraded": False,
+        "failed_shards": [],
+    }
     if not lint.passed:
         # Structurally unsound: certify nothing beyond the lint verdict.
         skipped = {"status": "skipped", "reason": "structural lint failed"}
         return Certificate(
             **base,
-            coverage={
-                "locations_total": space.total,
-                "locations_planned": 0,
-                "locations_covered": 0,
-                "locations_uncovered": 0,
-                "uncovered_per_stratum": {},
-                "runs_executed": 0,
-                "fraction": 0.0,
-                "sampled": False,
-                "budget": config.budget,
-                "stopped_early": False,
-                "budget_exhausted": False,
-                "degraded": False,
-                "failed_shards": [],
-            },
+            coverage=coverage,
             histograms={},
             verdicts={
                 "structural_lint": {
@@ -326,12 +326,7 @@ def certify_design(
         run = run_sharded(
             task,
             ranges,
-            config=ExecutorConfig(
-                jobs=config.jobs,
-                checkpoint_dir=config.checkpoint_dir,
-                resume=config.resume,
-                wall_budget=config.wall_budget,
-            ).prewarming(design),
+            config=config.executor(),
             identity=identity,
             keys=CERTIFY_KEYS,
             on_shard_done=_shard_found_witness if config.fail_fast else None,
@@ -422,23 +417,22 @@ def certify_design(
                 ),
             }
 
+    coverage.update(
+        locations_planned=int(len(indices)),
+        locations_covered=n_covered,
+        locations_uncovered=int(uncovered.size),
+        uncovered_per_stratum=dict(sorted(uncovered_per_stratum.items())),
+        runs_executed=n_covered * runs,
+        fraction=(n_covered / space.total) if space.total else 0.0,
+        sampled=bool(len(indices) < space.total),
+        stopped_early=bool(run.stopped_early),
+        budget_exhausted=bool(run.budget_exhausted),
+        degraded=degraded,
+        failed_shards=run.failures,
+    )
     certificate = Certificate(
         **base,
-        coverage={
-            "locations_total": space.total,
-            "locations_planned": int(len(indices)),
-            "locations_covered": n_covered,
-            "locations_uncovered": int(uncovered.size),
-            "uncovered_per_stratum": dict(sorted(uncovered_per_stratum.items())),
-            "runs_executed": n_covered * runs,
-            "fraction": (n_covered / space.total) if space.total else 0.0,
-            "sampled": bool(len(indices) < space.total),
-            "budget": config.budget,
-            "stopped_early": bool(run.stopped_early),
-            "budget_exhausted": bool(run.budget_exhausted),
-            "degraded": degraded,
-            "failed_shards": run.failures,
-        },
+        coverage=coverage,
         histograms={
             k: [int(x) for x in v] for k, v in sorted(histograms.items())
         },

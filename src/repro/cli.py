@@ -59,8 +59,8 @@ def _cmd_table3(args) -> int:
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     """``--jobs``/``--checkpoint-dir``/``--resume``: the shard executor's flags."""
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: in-process)",
+        "--jobs", type=int, default=1,
+        help="worker processes (default: 1, in-process)",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None,
@@ -78,12 +78,12 @@ def _executor_config(args):
     None — an in-process campaign — unless they ask for more than one
     worker or a checkpoint (a resume needs one).
     """
-    if (args.jobs or 1) == 1 and not args.checkpoint_dir:
+    if args.jobs == 1 and not args.checkpoint_dir:
         return None
     from repro.faults.executor import ExecutorConfig
 
     return ExecutorConfig(
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
@@ -214,7 +214,7 @@ def _cmd_certify(args) -> int:
             cycles=tuple(int(c) for c in args.cycles.split(",")) if args.cycles else None,
             seed=args.seed,
             fail_fast=args.fail_fast,
-            jobs=args.jobs or 1,
+            jobs=args.jobs,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             wall_budget=args.wall_budget,
@@ -265,7 +265,7 @@ def _cmd_serve(args) -> int:
         port=args.port,
         concurrency=args.concurrency,
         max_queue=args.max_queue,
-        jobs=args.jobs or 1,
+        jobs=args.jobs,
         default_deadline_s=args.deadline,
         drain_timeout_s=args.drain_timeout,
     )
@@ -661,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         "load-shedding with Retry-After",
     )
     pserve.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=int, default=1,
         help="executor worker processes per campaign",
     )
     pserve.add_argument(
@@ -872,7 +872,7 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "resume", False) and not args.checkpoint_dir:
         print("invalid options: --resume needs --checkpoint-dir", file=sys.stderr)
         return 2
-    if (getattr(args, "jobs", None) or 1) < 1:
+    if getattr(args, "jobs", 1) < 1:
         print(f"invalid options: --jobs {args.jobs} is below 1", file=sys.stderr)
         return 2
     # Eager environment validation: a typo'd REPRO_CHAOS schedule or

@@ -3,7 +3,7 @@
 Retries, backoff, quarantine, checkpoints, the worker pool and its
 heartbeat.  They live apart from the executor's public names so that a
 process which only builds an :class:`~repro.faults.executor.ExecutorConfig`
-or pre-warms a kernel never loads them (see the executor's docstring for
+never loads them (see the executor's docstring for
 what loads when).  Log records keep the executor's logger name.
 """
 
@@ -50,10 +50,11 @@ def _deadline(seconds: float | None):
     requested timeout degrades to untimed execution with a one-time
     warning rather than crashing or being silently dropped.  (The
     supervisor's heartbeat ``hang_deadline`` is the second, independent
-    guard for pool runs.)
+    guard for pool runs.)  ``seconds`` is None or positive
+    (:class:`~repro.faults.executor.ExecutorConfig` checks it).
     """
     global _timeout_warned
-    if seconds is None or seconds <= 0:
+    if seconds is None:
         yield
         return
     import signal
@@ -102,27 +103,10 @@ def _worker_init(payload: bytes) -> None:
     # apply the parent's chaos schedule in this worker process (fork
     # inherits it, but spawn-based pools start from clean state)
     chaos.configure(ctx[4])
-    _run_prewarm(ctx[5])
-
-
-def _run_prewarm(prewarm) -> None:
-    """Pay one-time setup (e.g. codegen) outside any shard's timeout window."""
-    if prewarm is None:
-        return
-    started = time.perf_counter()
-    try:
-        prewarm()
-    except Exception as exc:
-        # A failed pre-warm never kills the worker: the shard simply pays
-        # the setup cost (or surfaces the real error) inside its own guard.
-        log.warning("executor pre-warm failed (%s: %s)", type(exc).__name__, exc)
-        trace.event("executor.prewarm_failed", error=f"{type(exc).__name__}: {exc}")
-    else:
-        metrics.observe("executor.prewarm_s", time.perf_counter() - started)
 
 
 def _worker_shard(index: int, lo: int, hi: int, attempt: int):
-    task, timeout, hook, tele, _, _ = _WORKER_CTX["ctx"]
+    task, timeout, hook, tele, _ = _WORKER_CTX["ctx"]
     if not tele.get("capture"):
         with _deadline(timeout):
             chaos.at("worker", index=index, attempt=attempt, in_worker=True)
@@ -342,10 +326,7 @@ class _Supervisor:
         The jitter fraction is a pure hash of (shard, attempt) so delays
         de-synchronise across shards without nondeterministic state.
         """
-        cfg = self.config
-        base = cfg.backoff * (2 ** (self.attempts[index] - 1))
-        if base <= 0:
-            return base
+        base = self.config.backoff * (2 ** (self.attempts[index] - 1))
         frac = ((index * 2654435761 + self.attempts[index] * 40503) % 1000) / 1000
         return base * (1.0 + BACKOFF_JITTER * frac)
 
@@ -358,8 +339,6 @@ class _Supervisor:
     # -- serial path
 
     def run_serial(self, pending: list[int]) -> None:
-        if pending:
-            _run_prewarm(self.config.prewarm)
         for index in pending:
             if self.stopped or self._budget_spent():
                 return
@@ -418,21 +397,10 @@ class _Supervisor:
             # travel to workers so captured shard spans stay attributable
             "ctx": dict(trace.context()),
         }
-        try:
-            payload = pickle.dumps(
-                (
-                    self.task, cfg.timeout, self.shard_hook, tele, chaos.spec,
-                    cfg.prewarm,
-                )
-            )
-        except Exception as exc:
-            log.warning(
-                "sharded executor: task not picklable (%s); falling back to "
-                "serial execution", exc,
-            )
-            trace.event("executor.serial_fallback", error=str(exc))
-            self.run_serial(pending)
-            return
+        # An unpicklable task or hook raises here, before any shard runs.
+        payload = pickle.dumps(
+            (self.task, cfg.timeout, self.shard_hook, tele, chaos.spec)
+        )
 
         hang_deadline = cfg.effective_hang_deadline
         queue = list(pending)

@@ -464,7 +464,6 @@ def _run_sharded(
 
     from repro.faults.executor import run_sharded
 
-    config = config.prewarming(design)
     shard_runs = max(
         RNG_BLOCK, config.shard_runs - config.shard_runs % RNG_BLOCK
     )

@@ -20,13 +20,14 @@ and :func:`repro.certify.certifier.certify_design`.
   shards whose archives validate against their range, their digest and
   the campaign, and recomputes the rest.  A manifest that fails its own
   checksum is *recovered from* (a fresh manifest), never a crash.
-- **Supervision** — shards get a wall-clock ``timeout`` (enforced with
-  ``SIGALRM`` inside the worker where available; degrading to untimed
-  execution with a one-time warning elsewhere), a supervisor-side
-  heartbeat declares hung workers dead past ``hang_deadline`` and
-  restarts the pool, transient failures are retried with jittered
-  exponential backoff, and a broken process pool is rebuilt and the lost
-  shards resubmitted.
+- **Supervision** — shards get an optional wall-clock ``timeout``
+  (enforced with ``SIGALRM`` inside the worker where available; degrading
+  to untimed execution with a one-time warning elsewhere), a
+  supervisor-side heartbeat declares hung workers dead past
+  ``hang_deadline`` and restarts the pool, transient failures are retried
+  with jittered exponential backoff, and a broken process pool is rebuilt
+  and the lost shards resubmitted.  The timeout covers the whole shard,
+  a worker's first-shard kernel compilation included.
 - **Quarantine, not abort** — a shard that exhausts its retries is
   *quarantined*: its typed :class:`~repro.resilience.errors.ErrorKind`,
   attempt count and last error go to ``ShardedRun.failures`` and, with a
@@ -43,9 +44,11 @@ and :func:`repro.certify.certifier.certify_design`.
   checkpoint corruption, duplicated results); ``tests/test_chaos.py``
   holds this module to the paper's own standard.
 
-The process pool uses ``concurrent.futures.ProcessPoolExecutor``; tasks
-that cannot be pickled (or ``jobs=1``) fall back to in-process serial
-execution with the same checkpoint/retry semantics.
+With ``jobs > 1`` and more than one shard to run, shards go to a
+``concurrent.futures.ProcessPoolExecutor``, and a task that cannot be
+pickled raises before any shard runs; otherwise they run in-process with
+the same checkpoint/retry semantics.  :class:`ExecutorConfig` checks its
+knobs when it is built, so the supervisor trusts every value it reads.
 
 A process imports only what it runs.  This module holds the public names
 and :func:`run_sharded`; the supervisor behind it lives in
@@ -60,7 +63,6 @@ sweep the checkpoint store loads only when a ``checkpoint_dir`` is set,
 
 from __future__ import annotations
 
-import functools
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
@@ -96,9 +98,21 @@ class ShardTimeout(RuntimeError):
     """A shard exceeded its wall-clock budget."""
 
 
+def require_int(name: str, value, *, minimum: int) -> None:
+    """Raise :class:`ValueError` naming ``name`` unless ``value`` is an
+    int (not a bool) of at least ``minimum`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Knobs of the sharded executor (see module docstring)."""
+    """Knobs of the sharded executor (see module docstring).
+
+    A bad value raises :class:`ValueError` naming its field when the
+    config is built, before any shard runs.
+    """
 
     #: worker processes; 1 = in-process serial execution
     jobs: int = 1
@@ -111,33 +125,55 @@ class ExecutorConfig:
     checkpoint_dir: object = None
     #: reuse verified shards from an existing checkpoint
     resume: bool = False
-    #: per-shard wall-clock budget in seconds; None = unbounded
+    #: per-shard wall-clock budget in seconds (> 0); None = unbounded
     timeout: float | None = None
     #: how many times a failing shard is re-attempted
     retries: int = 2
-    #: base of the exponential backoff between attempts (seconds)
+    #: base of the exponential backoff between attempts (seconds, >= 0)
     backoff: float = 0.5
-    #: supervisor poll interval for the pool heartbeat (seconds)
+    #: supervisor poll interval for the pool heartbeat (seconds, > 0)
     heartbeat: float = 0.5
     #: supervisor-side per-shard deadline after which a worker is declared
     #: hung and the pool restarted; None derives ``2 * timeout + 5`` when a
     #: timeout is set (hangs that defeat SIGALRM), else disabled
     hang_deadline: float | None = None
-    #: global wall-clock budget for the whole sweep; once spent, no new
-    #: shards are scheduled and the run degrades gracefully
+    #: global wall-clock budget for the whole sweep (seconds, >= 0); once
+    #: spent, no new shards are scheduled and the run degrades gracefully
     wall_budget: float | None = None
-    #: zero-argument picklable callable run once per worker (in the pool
-    #: initializer, and once before the serial loop) to pay one-time setup
-    #: cost — e.g. compiled-backend codegen — *outside* any shard's timeout
-    #: window; re-runs automatically in every fresh worker after a pool
-    #: restart.  None = no pre-warm.
-    prewarm: object = None
+
+    def __post_init__(self) -> None:
+        for name, minimum in (("jobs", 1), ("shard_runs", 1), ("retries", 0)):
+            require_int(name, getattr(self, name), minimum=minimum)
+        # (name, None allowed, 0 allowed)
+        for name, optional, zero in (
+            ("backoff", False, True),
+            ("heartbeat", False, False),
+            ("timeout", True, False),
+            ("hang_deadline", True, False),
+            ("wall_budget", True, True),
+        ):
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not (value >= 0 if zero else value > 0)  # False for NaN
+            ):
+                kind = "non-negative" if zero else "positive"
+                none = "None or " if optional else ""
+                raise ValueError(
+                    f"{name} must be {none}a {kind} number of seconds, "
+                    f"got {value!r}"
+                )
+        if type(self.resume) is not bool:
+            raise ValueError(f"resume must be a bool, got {self.resume!r}")
 
     @property
     def effective_hang_deadline(self) -> float | None:
         if self.hang_deadline is not None:
             return self.hang_deadline
-        if self.timeout is not None and self.timeout > 0:
+        if self.timeout is not None:
             return 2.0 * self.timeout + 5.0
         return None
 
@@ -151,23 +187,15 @@ class ExecutorConfig:
             return self
         return replace(self, checkpoint_dir=Path(self.checkpoint_dir, *names))
 
-    def prewarming(self, design: ProtectedDesign) -> ExecutorConfig:
-        """This config, pre-warming ``design``'s kernel unless it already
-        sets a ``prewarm``."""
-        if self.prewarm is not None:
-            return self
-        return replace(self, prewarm=functools.partial(prewarm_backend, design))
-
 
 def prewarm_backend(design: ProtectedDesign, backend: str | None = None) -> None:
     """Compile ``design``'s kernel schedule/program for ``backend`` now.
 
-    ``None`` resolves when the call runs, so a pool worker warms the
-    kernel its simulators will use (``REPRO_SIM_BACKEND`` or the default).
-    Module-level (hence picklable via :func:`functools.partial`) so it can
-    ride in the pool-worker init payload: the compiled backend's AOT
-    codegen — the expensive case — happens once per worker process before
-    the first shard starts its timeout clock, instead of inside it.
+    ``None`` resolves when the call runs, to the kernel this process's
+    simulators will use (``REPRO_SIM_BACKEND`` or the default).  Both
+    kernels cache what they compile per circuit, so a caller that wants
+    compilation kept out of a later measurement calls this first; the
+    executor itself does not (a sweep's first shard compiles on demand).
     """
     from repro.netlist.simulator import resolve_backend
 
@@ -201,19 +229,6 @@ class ShardedRun:
     stopped_early: bool = False
     #: True when the global wall budget ran out before all shards ran
     budget_exhausted: bool = False
-
-    @property
-    def complete(self) -> bool:
-        return (
-            not self.stopped_early
-            and not self.budget_exhausted
-            and len(self.results) == len(self.ranges)
-        )
-
-    @property
-    def degraded(self) -> bool:
-        """Shards were lost to quarantine or the wall budget."""
-        return bool(self.failures) or self.budget_exhausted
 
     def merged(self, keys: Sequence[str]) -> dict[str, np.ndarray] | None:
         """Concatenate surviving shards in index order (None if nothing ran)."""

@@ -91,6 +91,31 @@ class TestEagerEnvValidation:
         assert "invalid environment" in err and "REPRO_SIM_BACKEND" in err
 
 
+class TestJobsFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig4", "--runs", "1024"],
+            ["certify", "--rounds", "2", "--budget", "64"],
+            ["serve", "--port", "0"],
+        ],
+    )
+    def test_jobs_zero_exits_2(self, argv, monkeypatch, capsys):
+        # a 'serve' that got past the check must not bind a socket
+        import repro.service
+
+        class NoService:
+            def __init__(self, config):
+                pass
+
+            def serve(self):
+                return 0
+
+        monkeypatch.setattr(repro.service, "CertificationService", NoService)
+        assert main(argv + ["--jobs", "0"]) == 2
+        assert "--jobs 0 is below 1" in capsys.readouterr().err
+
+
 class TestFastCommands:
     def test_table2(self, capsys):
         assert main(["table2"]) == 0

@@ -660,9 +660,50 @@ class TestDeadlineFallback:
     def test_no_timeout_means_no_guard(self):
         from repro.faults import _supervisor as supervisor
 
-        for seconds in (None, 0, -1):
-            with supervisor._deadline(seconds):
-                pass
+        with supervisor._deadline(None):
+            pass
+
+
+class TestExecutorConfig:
+    """Every knob is checked once, when the config is built."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"jobs": 0},
+            {"jobs": -3},
+            {"jobs": 2.5},
+            {"jobs": True},
+            {"shard_runs": 0},
+            {"retries": -1},
+            {"backoff": -1},
+            {"backoff": float("nan")},
+            {"heartbeat": 0},
+            {"timeout": 0},
+            {"timeout": -5},
+            {"hang_deadline": 0},
+            {"wall_budget": -1},
+            {"wall_budget": float("nan")},
+            {"wall_budget": True},
+            {"resume": 1},
+        ],
+    )
+    def test_rejects_a_bad_knob_naming_it(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ExecutorConfig(**kwargs)
+
+    def test_unpicklable_task_raises_before_any_shard(self):
+        from repro.faults.executor import run_sharded
+
+        ran = []
+        with pytest.raises(Exception, match="pickle"):
+            run_sharded(
+                lambda lo, hi: ran.append(lo) or {"x": np.arange(lo, hi)},
+                [(0, 2), (2, 4)],
+                config=ExecutorConfig(jobs=2),
+                keys=("x",),
+            )
+        assert ran == []
 
 
 class TestGenericRunSharded:
@@ -683,7 +724,8 @@ class TestGenericRunSharded:
             identity={"kind": "squares"},
             keys=("index", "square"),
         )
-        assert run.complete and not run.stopped_early
+        assert sorted(run.results) == list(range(len(run.ranges)))
+        assert not run.stopped_early and not run.budget_exhausted
         merged = run.merged(("index", "square"))
         assert merged["index"].tolist() == list(range(10))
         assert merged["square"].tolist() == [i * i for i in range(10)]
@@ -747,8 +789,7 @@ class TestGenericRunSharded:
 
 
 class TestPrewarm:
-    """Backend codegen is compiled in the worker initializer (outside any
-    shard timeout window), not lazily inside the first shard."""
+    """``prewarm_backend`` compiles a design's kernel ahead of a measurement."""
 
     def test_prewarm_backend_populates_codegen_caches(self, naive_design, monkeypatch):
         from repro.faults.executor import prewarm_backend
@@ -775,32 +816,3 @@ class TestPrewarm:
         monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
         prewarm_backend(naive_design)
         assert circuit in _PROGRAM_CACHE
-
-    def test_prewarm_failure_is_nonfatal(self, caplog):
-        from repro.faults._supervisor import _run_prewarm
-
-        def broken():
-            raise RuntimeError("codegen exploded")
-
-        with caplog.at_level(logging.WARNING, logger="repro.faults.executor"):
-            _run_prewarm(broken)  # must not raise
-        assert "pre-warm" in caplog.text
-
-    def test_sharded_campaign_defaults_prewarm(self, naive_design, present_spec, monkeypatch):
-        """run_campaign wires a kernel pre-warm into an executor config by
-        default, and the serial path actually runs it."""
-        import repro.faults.executor as executor_mod
-
-        calls = []
-        real = executor_mod.prewarm_backend
-        monkeypatch.setattr(
-            executor_mod, "prewarm_backend",
-            lambda d, b=None: calls.append((d, b)) or real(d, b),
-        )
-        run_campaign(
-            naive_design, [_fault(naive_design, present_spec)],
-            n_runs=RNG_BLOCK // 2, key=TEST_KEY80, seed=SEED,
-            executor=ExecutorConfig(shard_runs=RNG_BLOCK),
-        )
-        # no kernel named: the worker resolves REPRO_SIM_BACKEND itself
-        assert calls == [(naive_design, None)]
