@@ -196,37 +196,37 @@ def _cmd_sca(args) -> int:
     return 0
 
 
-def _build_scheme(scheme: str, *, cipher: str, variant: str, rounds: int | None):
-    from repro.service.protocol import build_design
+def _certify_request(args, deadline_s: float | None = None):
+    """The :class:`~repro.service.protocol.CertifyRequest` the request flags
+    ask for; a bad flag raises :class:`ValueError` or :class:`TypeError`."""
+    from repro.service.protocol import CertifyRequest
 
-    return build_design(scheme, cipher=cipher, variant=variant, rounds=rounds)
+    fields = CertifyRequest.__dataclass_fields__
+    doc = {name: value for name, value in vars(args).items() if name in fields}
+    doc["models"] = tuple(args.models.split(",")) if args.models else None
+    try:
+        doc["cycles"] = tuple(map(int, args.cycles.split(","))) if args.cycles else None
+    except ValueError:
+        raise ValueError(
+            f"cycles must be comma-separated integers, got {args.cycles!r}"
+        ) from None
+    return CertifyRequest(**doc, deadline_s=deadline_s)
 
 
 def _cmd_certify(args) -> int:
-    from repro.certify import DEFAULT_MODELS, CertifyConfig, certify_design
-    from repro.certify.space import resolve_cycles
+    from repro.certify import certify_design
 
     try:
-        config = CertifyConfig(
-            budget=args.budget,
-            runs_per_location=args.runs_per_location,
-            models=tuple(args.models.split(",")) if args.models else DEFAULT_MODELS,
-            cycles=tuple(int(c) for c in args.cycles.split(",")) if args.cycles else None,
-            seed=args.seed,
-            fail_fast=args.fail_fast,
-            jobs=args.jobs,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            wall_budget=args.wall_budget,
+        request = _certify_request(args)
+        config = request.config(
+            jobs=args.jobs, checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+            wall_budget=args.wall_budget, fail_fast=args.fail_fast,
         )
-        design = _build_scheme(
-            args.scheme, cipher=args.cipher, variant=args.variant, rounds=args.rounds
-        )
-        resolve_cycles(config.cycles, design.spec.rounds)
-    except ValueError as exc:
+        design = request.design()
+    except (ValueError, TypeError) as exc:
         print(f"invalid certify options: {exc}", file=sys.stderr)
         return 2
-    certificate = certify_design(design, key=int(args.key, 0), config=config)
+    certificate = certify_design(design, key=int(request.key, 0), config=config)
     print(certificate.summary())
     if args.out:
         certificate.save(args.out)
@@ -259,16 +259,15 @@ def _cmd_serve(args) -> int:
     """Run the always-on certification daemon (see repro.service.daemon)."""
     from repro.service import CertificationService, ServiceConfig
 
-    config = ServiceConfig(
-        store_dir=args.store,
-        host=args.host,
-        port=args.port,
-        concurrency=args.concurrency,
-        max_queue=args.max_queue,
-        jobs=args.jobs,
-        default_deadline_s=args.deadline,
-        drain_timeout_s=args.drain_timeout,
-    )
+    try:
+        config = ServiceConfig(
+            store_dir=args.store, host=args.host, port=args.port,
+            concurrency=args.concurrency, max_queue=args.max_queue, jobs=args.jobs,
+            default_deadline_s=args.deadline, drain_timeout_s=args.drain_timeout,
+        )
+    except ValueError as exc:
+        print(f"invalid serve options: {exc}", file=sys.stderr)
+        return 2
     service = CertificationService(config)
     print(
         f"serving on http://{config.host}:{config.port or '<ephemeral>'} "
@@ -283,24 +282,14 @@ def _cmd_submit(args) -> int:
     from repro.certify import Certificate
     from repro.service.client import ServiceClient, ServiceError
 
-    request = {
-        "scheme": args.scheme,
-        "cipher": args.cipher,
-        "variant": args.variant,
-        "rounds": args.rounds,
-        "budget": args.budget,
-        "runs_per_location": args.runs_per_location,
-        "models": args.models.split(",") if args.models else None,
-        "cycles": (
-            [int(c) for c in args.cycles.split(",")] if args.cycles else None
-        ),
-        "seed": args.seed,
-        "key": args.key,
-        "deadline_s": args.deadline,
-    }
+    try:
+        request = _certify_request(args, deadline_s=args.deadline)
+    except (ValueError, TypeError) as exc:
+        print(f"invalid submit options: {exc}", file=sys.stderr)
+        return 2
     try:
         client = ServiceClient(args.url)
-        status, doc = client.submit(request, wait=args.wait)
+        status, doc = client.submit(request.to_dict(), wait=args.wait)
     except ServiceError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
@@ -506,15 +495,49 @@ def _cipher_name(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_cipher_arg(parser: argparse.ArgumentParser) -> None:
+def _add_cipher_arg(parser: argparse.ArgumentParser, default: str = "present80") -> None:
     from repro.ciphers.registry import registered_ciphers
 
     parser.add_argument(
-        "--cipher", default="present80", type=_cipher_name,
+        "--cipher", default=default, type=_cipher_name,
         metavar="{" + ",".join(registered_ciphers()) + "}",
         help="registered cipher to build (aliases like 'present'/'aes' "
         "accepted; unknown names are rejected at parse time)",
     )
+
+
+def _add_request_args(parser: argparse.ArgumentParser) -> None:
+    """The flags of one certify request (``certify`` and ``submit``),
+    defaulting to the :class:`~repro.service.protocol.CertifyRequest`'s."""
+    from repro.service.protocol import SCHEMES, CertifyRequest as request
+
+    parser.add_argument("--scheme", default=request.scheme, choices=SCHEMES)
+    _add_cipher_arg(parser, default=request.cipher)
+    parser.add_argument(
+        "--variant", default=request.variant, help="λ variant (three-in-one only)"
+    )
+    parser.add_argument(
+        "--rounds", type=int, default=request.rounds,
+        help="reduced-round cipher instance (default: the cipher's full "
+        "round count)",
+    )
+    parser.add_argument(
+        "--budget", type=int, default=request.budget,
+        help="total faulted-run budget; omit for an exhaustive sweep",
+    )
+    parser.add_argument(
+        "--runs-per-location", type=int, default=request.runs_per_location
+    )
+    parser.add_argument(
+        "--models", default=None,
+        help="comma-separated fault models (default: all four)",
+    )
+    parser.add_argument(
+        "--cycles", default=None,
+        help="comma-separated active rounds (default: every round)",
+    )
+    parser.add_argument("--seed", type=int, default=request.seed)
+    parser.add_argument("--key", default=request.key)
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -586,35 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep the single-fault space and emit a coverage certificate",
         parents=[common],
     )
-    pcert.add_argument(
-        "--scheme", default="three-in-one",
-        choices=["three-in-one", "naive", "acisp20", "triplication"],
-    )
-    _add_cipher_arg(pcert)
-    pcert.add_argument(
-        "--variant", default="prime", choices=["prime", "per_round", "per_sbox"],
-        help="λ variant (three-in-one only)",
-    )
-    pcert.add_argument(
-        "--rounds", type=int, default=None,
-        help="reduced-round cipher instance (default: the cipher's full "
-        "round count)",
-    )
-    pcert.add_argument(
-        "--budget", type=int, default=None,
-        help="total faulted-run budget; omit for an exhaustive sweep",
-    )
-    pcert.add_argument("--runs-per-location", type=int, default=64)
-    pcert.add_argument(
-        "--models", default=None,
-        help="comma-separated fault models (default: all four)",
-    )
-    pcert.add_argument(
-        "--cycles", default=None,
-        help="comma-separated active rounds (default: every round)",
-    )
-    pcert.add_argument("--seed", type=int, default=4)
-    pcert.add_argument("--key", default="0x0123456789abcdef0123")
+    _add_request_args(pcert)
     pcert.add_argument(
         "--fail-fast", action="store_true",
         help="stop scheduling new shards once a witness is found",
@@ -681,21 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8642",
         help="daemon base URL",
     )
-    psubmit.add_argument(
-        "--scheme", default="three-in-one",
-        choices=["three-in-one", "naive", "acisp20", "triplication"],
-    )
-    _add_cipher_arg(psubmit)
-    psubmit.add_argument(
-        "--variant", default="prime", choices=["prime", "per_round", "per_sbox"],
-    )
-    psubmit.add_argument("--rounds", type=int, default=None)
-    psubmit.add_argument("--budget", type=int, default=None)
-    psubmit.add_argument("--runs-per-location", type=int, default=64)
-    psubmit.add_argument("--models", default=None)
-    psubmit.add_argument("--cycles", default=None)
-    psubmit.add_argument("--seed", type=int, default=4)
-    psubmit.add_argument("--key", default="0x0123456789abcdef0123")
+    _add_request_args(psubmit)
     psubmit.add_argument(
         "--deadline", type=float, default=None,
         help="per-request deadline in seconds (degraded certificate on "

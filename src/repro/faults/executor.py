@@ -106,6 +106,26 @@ def require_int(name: str, value, *, minimum: int) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
+def require_seconds(
+    name: str, value, *, optional: bool = False, zero: bool = False
+) -> None:
+    """Raise :class:`ValueError` naming ``name`` unless ``value`` is a
+    positive number of seconds (not a bool, not NaN); ``zero`` admits 0
+    and ``optional`` admits None."""
+    if value is None and optional:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (value >= 0 if zero else value > 0)  # False for NaN
+    ):
+        kind = "non-negative" if zero else "positive"
+        none = "None or " if optional else ""
+        raise ValueError(
+            f"{name} must be {none}a {kind} number of seconds, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Knobs of the sharded executor (see module docstring).
@@ -152,20 +172,7 @@ class ExecutorConfig:
             ("hang_deadline", True, False),
             ("wall_budget", True, True),
         ):
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not (value >= 0 if zero else value > 0)  # False for NaN
-            ):
-                kind = "non-negative" if zero else "positive"
-                none = "None or " if optional else ""
-                raise ValueError(
-                    f"{name} must be {none}a {kind} number of seconds, "
-                    f"got {value!r}"
-                )
+            require_seconds(name, getattr(self, name), optional=optional, zero=zero)
         if type(self.resume) is not bool:
             raise ValueError(f"resume must be a bool, got {self.resume!r}")
 

@@ -9,27 +9,20 @@ reported with its typed error, and SIGTERM drains gracefully.  See
 :mod:`repro.service.daemon` for the full robustness contract.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.daemon import CertificationService, ServiceConfig
-from repro.service.protocol import (
-    CertifyRequest,
-    build_design,
-    circuit_digest,
-    request_key,
-)
-from repro.service.store import ResultStore
-from repro.service.top import render_status, run_top
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CertificationService",
-    "CertifyRequest",
-    "ResultStore",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "build_design",
-    "circuit_digest",
-    "render_status",
-    "request_key",
-    "run_top",
-]
+_EXPORTS = {
+    "CertificationService": "repro.service.daemon",
+    "CertifyRequest": "repro.service.protocol",
+    "ResultStore": "repro.service.store",
+    "ServiceClient": "repro.service.client",
+    "ServiceConfig": "repro.service.daemon",
+    "ServiceError": "repro.service.client",
+    "build_design": "repro.service.protocol",
+    "circuit_digest": "repro.service.protocol",
+    "render_status": "repro.service.top",
+    "request_key": "repro.service.protocol",
+    "run_top": "repro.service.top",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -79,10 +79,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from repro.certify.space import resolve_cycles
 from repro.resilience.chaos import ChaosSpec, chaos
 from repro.resilience.errors import classify_error
-from repro.service.protocol import CertifyRequest, build_design, request_key
+from repro.service.protocol import CertifyRequest, request_key
 from repro.service.store import ResultStore
 from repro.telemetry import (
     clear_live,
@@ -99,7 +98,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of the certification daemon."""
+    """Knobs of the certification daemon; a bad value raises
+    :class:`ValueError` naming its field, with the shard executor's checks,
+    so every campaign accepts the ``jobs`` and deadline the daemon did."""
 
     #: store root; certificates and campaign checkpoints live here
     store_dir: object = "repro-store"
@@ -121,6 +122,20 @@ class ServiceConfig:
     drain_timeout_s: float = 600.0
     #: Retry-After hint (seconds) on shed responses, scaled by queue depth
     retry_after_s: float = 2.0
+
+    def __post_init__(self) -> None:
+        from repro.faults.executor import require_int, require_seconds
+
+        for name in ("jobs", "concurrency", "max_queue"):
+            require_int(name, getattr(self, name), minimum=1)
+        require_seconds(
+            "default_deadline_s", self.default_deadline_s, optional=True, zero=True
+        )
+        require_seconds("drain_timeout_s", self.drain_timeout_s, zero=True)
+        require_seconds("retry_after_s", self.retry_after_s)
+        require_int("port", self.port, minimum=0)
+        if self.port > 65535:
+            raise ValueError(f"port must be at most 65535, got {self.port!r}")
 
 
 class CertificationService:
@@ -179,18 +194,8 @@ class CertificationService:
         metrics.inc(f"service.{name}", n)
 
     def _key_and_design(self, norm: CertifyRequest):
-        sig = (norm.scheme, norm.cipher, norm.variant, norm.rounds)
         with self._design_lock:
-            design = self._designs.get(sig)
-            if design is None:
-                design = build_design(
-                    norm.scheme,
-                    cipher=norm.cipher,
-                    variant=norm.variant,
-                    rounds=norm.rounds,
-                )
-                self._designs[sig] = design
-        resolve_cycles(norm.cycles, design.spec.rounds)
+            design = norm.design(self._designs)
         return request_key(norm, design), design
 
     def _count_failure(self, kind: str) -> None:
@@ -203,19 +208,10 @@ class CertificationService:
         self, norm: CertifyRequest, design, key: str, rid: str,
         parent_span: str | None,
     ):
-        from repro.certify import CertifyConfig
-
-        deadline = (
-            norm.deadline_s
-            if norm.deadline_s is not None
-            else self.config.default_deadline_s
-        )
-        config = CertifyConfig(
-            budget=norm.budget,
-            runs_per_location=norm.runs_per_location,
-            models=norm.models,
-            cycles=norm.cycles,
-            seed=norm.seed,
+        deadline = norm.deadline_s
+        if deadline is None:
+            deadline = self.config.default_deadline_s
+        config = norm.config(
             jobs=self.config.jobs,
             checkpoint_dir=str(self.store.work_dir(key)),
             resume=True,
@@ -346,7 +342,7 @@ class CertificationService:
         )
         if admitted >= self.config.max_queue:
             self._count("shed")
-            retry = self.config.retry_after_s * max(1, admitted)
+            retry = self.config.retry_after_s * admitted
             trace.event("service.shed", queue_depth=admitted, request_id=rid)
             return 429, {
                 "status": "shed",
@@ -627,7 +623,7 @@ class CertificationService:
         self._stop = asyncio.Event()
         workers = [
             asyncio.ensure_future(self._worker())
-            for _ in range(max(1, self.config.concurrency))
+            for _ in range(self.config.concurrency)
         ]
         server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port

@@ -1,18 +1,20 @@
 """Request schema and content addressing for the certification service.
 
-A :class:`CertifyRequest` is the wire form of one certification campaign:
-which protected design to build, which slice of its fault space to sweep,
-under which seed and key.  Two requests that would provably produce
-the same certificate must collapse to the same :func:`request_key` — the
-content address under which the daemon dedupes in-flight work and stores
-finished certificates.
+A :class:`CertifyRequest` is the one description of a certification
+campaign: which protected design to build, which slice of its fault
+space to sweep, under which seed and key.  ``repro certify``, ``repro
+submit`` and ``POST /certify`` all build one, and only it maps to the
+design (:meth:`~CertifyRequest.design`) and the certifier's config
+(:meth:`~CertifyRequest.config`).  Two requests that would provably
+produce the same certificate collapse to the same :func:`request_key`,
+the content address under which the daemon dedupes and stores them.
 
 The key is a SHA-256 over a canonical document combining
 
-- the **netlist hash** (:func:`circuit_digest` over the built design's
-  gate list — the same design identity the PR 4 run manifest pins via
-  scheme/variant/rounds, but structural, so a builder change invalidates
-  stale cache entries),
+- the **design identity** (:func:`circuit_digest` over the built
+  design's gate list, and the cipher, rounds and λ-variant read from the
+  design: a builder change invalidates stale entries, and a variant the
+  scheme ignores does not split the address),
 - the **fault-space selection** (models × cycles, budget, runs/location —
   the inputs of ``enumerate_fault_space`` + the budget sampler), and
 - the campaign **seed and key**.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 __all__ = [
     "CertifyRequest",
@@ -114,10 +116,15 @@ def circuit_digest(circuit) -> str:
 
 @dataclass(frozen=True)
 class CertifyRequest:
-    """One certification campaign, as submitted to the daemon."""
+    """One certification campaign, with the defaults of ``repro certify``.
+
+    A bad field raises :class:`ValueError` naming it when the request is
+    built; :meth:`design` checks what needs the built design.
+    """
 
     scheme: str = "three-in-one"
     cipher: str = "present80"
+    #: λ-variant of the three-in-one scheme; the other schemes ignore it
     variant: str = "prime"
     rounds: int | None = None
     budget: int | None = None
@@ -131,34 +138,59 @@ class CertifyRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        from repro.certify import DEFAULT_MODELS, CertifyConfig
         from repro.ciphers.registry import resolve_cipher
+        from repro.countermeasures.three_in_one import LambdaVariant
+        from repro.faults.executor import require_int, require_seconds
 
         if self.scheme not in SCHEMES:
             raise ValueError(
                 f"unknown scheme {self.scheme!r} (known: {', '.join(SCHEMES)})"
             )
         resolve_cipher(self.cipher)  # raises ValueError listing the registry
-        int(self.key, 0)  # must be a parseable integer literal
-        # the cipher's spec checks the range of rounds when it is built
-        if self.rounds is not None and type(self.rounds) is not int:
-            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
-        deadline = self.deadline_s
-        if deadline is not None and not (
-            type(deadline) in (int, float) and deadline >= 0
-        ):
+        variants = [v.value for v in LambdaVariant]
+        if self.variant not in variants:
             raise ValueError(
-                f"deadline_s must be a non-negative number, got {deadline!r}"
+                f"unknown variant {self.variant!r} (known: {', '.join(variants)})"
             )
-        # the sweep is checked where the certifier's config is, and its
-        # cycles against the built design's rounds
-        CertifyConfig(
+        try:
+            int(self.key, 0)
+        except (TypeError, ValueError):
+            raise ValueError(f"key must be an integer literal, got {self.key!r}") from None
+        # the cipher's spec checks the upper bound when it is built
+        if self.rounds is not None:
+            require_int("rounds", self.rounds, minimum=1)
+        require_seconds("deadline_s", self.deadline_s, optional=True, zero=True)
+        self.config()  # checks the sweep
+
+    def config(self, **run):
+        """The certifier's :class:`~repro.certify.CertifyConfig` for this
+        request's sweep; ``run`` holds the caller's run knobs (``jobs``,
+        ``checkpoint_dir``, ``resume``, ``wall_budget``, ``fail_fast``)."""
+        from repro.certify import DEFAULT_MODELS, CertifyConfig
+
+        return CertifyConfig(
             budget=self.budget,
             runs_per_location=self.runs_per_location,
             models=DEFAULT_MODELS if self.models is None else self.models,
             cycles=self.cycles,
             seed=self.seed,
+            **run,
         )
+
+    def design(self, cache: dict | None = None):
+        """Build the design (or take it from ``cache``, keyed by scheme,
+        cipher, variant and rounds) and check the cycles against its rounds."""
+        from repro.certify.space import resolve_cycles
+
+        cache = {} if cache is None else cache
+        sig = (self.scheme, self.cipher, self.variant, self.rounds)
+        if sig not in cache:
+            cache[sig] = build_design(
+                self.scheme, cipher=self.cipher, variant=self.variant,
+                rounds=self.rounds,
+            )
+        resolve_cycles(self.cycles, cache[sig].spec.rounds)
+        return cache[sig]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CertifyRequest":
@@ -178,19 +210,8 @@ class CertifyRequest:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "cipher": self.cipher,
-            "variant": self.variant,
-            "rounds": self.rounds,
-            "budget": self.budget,
-            "runs_per_location": self.runs_per_location,
-            "models": list(self.models) if self.models is not None else None,
-            "cycles": list(self.cycles) if self.cycles is not None else None,
-            "seed": self.seed,
-            "key": self.key,
-            "deadline_s": self.deadline_s,
-        }
+        """The wire document :meth:`from_dict` reads back."""
+        return asdict(self)
 
     def normalized(self) -> "CertifyRequest":
         """Resolve every defaultable field to its canonical value."""
@@ -206,21 +227,21 @@ class CertifyRequest:
 
 
 def request_key(request: CertifyRequest, design=None) -> str:
-    """The content address of a request: netlist hash + sweep identity.
+    """The content address of a request: design identity + sweep identity.
 
     ``design`` may be passed to reuse an already-built design (the daemon
-    caches them); otherwise it is built here.
+    caches them); otherwise it is built here.  The scheme's cipher, rounds
+    and λ-variant are read from the design, so a variant the scheme
+    ignores does not change the key.
     """
     norm = request.normalized()
     if design is None:
-        design = build_design(
-            norm.scheme, cipher=norm.cipher, variant=norm.variant, rounds=norm.rounds
-        )
+        design = norm.design()
     doc = {
         "kind": "certify-request",
         "netlist": circuit_digest(design.circuit),
         "scheme": norm.scheme,
-        "variant": norm.variant,
+        "variant": design.variant,
         "cipher": design.spec.name,
         "rounds": design.spec.rounds,
         "key": norm.key,

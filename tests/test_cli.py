@@ -116,6 +116,61 @@ class TestJobsFlag:
         assert "--jobs 0 is below 1" in capsys.readouterr().err
 
 
+class TestRequestFlags:
+    def test_certify_and_submit_default_to_the_request(self):
+        from repro.service.protocol import CertifyRequest
+
+        for cmd in ("certify", "submit"):
+            args = build_parser().parse_args([cmd])
+            for name in ("scheme", "cipher", "variant", "rounds", "budget",
+                         "runs_per_location", "seed", "key"):
+                assert getattr(args, name) == getattr(CertifyRequest, name), name
+            assert args.models is None and args.cycles is None
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cycles", "1,x"], "cycles must be comma-separated integers"),
+            (["--key", "nope"], "key must be an integer literal"),
+            (["--variant", "bogus"], "unknown variant 'bogus'"),
+            (["--budget", "0"], "budget must be a positive"),
+        ],
+    )
+    def test_bad_submit_exits_2_without_connecting(self, flags, message, monkeypatch, capsys):
+        import repro.service.client
+
+        class NoClient:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a refused request must not connect")
+
+        monkeypatch.setattr(repro.service.client, "ServiceClient", NoClient)
+        assert main(["submit"] + flags) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--deadline", "-1"], "default_deadline_s must be None or a non-negative"),
+            (["--concurrency", "0"], "concurrency must be a positive integer"),
+            (["--max-queue", "0"], "max_queue must be a positive integer"),
+            (["--drain-timeout", "-1"], "drain_timeout_s must be a non-negative"),
+            (["--port", "65536"], "port must be at most 65535"),
+        ],
+    )
+    def test_bad_serve_flag_exits_2_without_binding(self, flags, message, monkeypatch, capsys):
+        import repro.service
+
+        class NoService:
+            def __init__(self, config):
+                raise AssertionError("a refused config must not start the daemon")
+
+        monkeypatch.setattr(repro.service, "CertificationService", NoService)
+        assert main(["serve", "--port", "0"] + flags) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestFastCommands:
     def test_table2(self, capsys):
         assert main(["table2"]) == 0
@@ -245,6 +300,9 @@ class TestCertifyCommand:
             (["--cycles", "9"], "cycles out of range [0, 2): [9]"),
             (["--cycles", "-1"], "cycles must be None or a non-empty tuple"),
             (["--seed", "-1"], "seed must be a non-negative integer"),
+            (["--cycles", "1,x"], "cycles must be comma-separated integers"),
+            (["--key", "notanumber"], "key must be an integer literal"),
+            (["--variant", "bogus"], "unknown variant 'bogus'"),
         ],
     )
     def test_bad_fault_selection_exits_2(self, flags, message, capsys):

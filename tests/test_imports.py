@@ -116,10 +116,17 @@ def test_serial_certify_leaves_checkpoint_and_oracle_engines_unloaded():
     assert _loaded_after(SERIAL_CERTIFY, modules) == []
 
 
+def test_request_protocol_leaves_the_daemon_unloaded():
+    # the CLI builds its certify/submit flags from the request's defaults
+    modules = ("repro.service.daemon", "repro.service.client", "asyncio")
+    assert _loaded_after("import repro.service.protocol", modules) == []
+
+
 @pytest.mark.parametrize(
     "package",
     ["repro.attacks", "repro.ciphers", "repro.countermeasures",
-     "repro.evaluation", "repro.faults", "repro.synth", "repro.telemetry"],
+     "repro.evaluation", "repro.faults", "repro.service", "repro.synth",
+     "repro.telemetry"],
 )
 def test_lazy_packages_keep_every_public_name(package):
     module = importlib.import_module(package)

@@ -42,6 +42,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     build_design,
+    circuit_digest,
     request_key,
 )
 from repro.telemetry import metrics
@@ -144,6 +145,9 @@ class TestRequestKey:
         ):
             other = CertifyRequest.from_dict({**TINY, **change})
             assert request_key(other, tiny_design) != k0, change
+        # the variant is read from the design, which three-in-one builds per variant
+        per_round = CertifyRequest.from_dict({**TINY, "variant": "per_round"})
+        assert request_key(per_round) != k0
 
     def test_deadline_is_not_identity(self, tiny_design):
         base = CertifyRequest.from_dict(TINY)
@@ -176,6 +180,32 @@ class TestRequestKey:
         k0 = request_key(CertifyRequest.from_dict(TINY), tiny_design)
         monkeypatch.setenv("REPRO_SIM_BACKEND", "compiled")
         assert request_key(CertifyRequest.from_dict(TINY), tiny_design) == k0
+
+    def test_three_in_one_key_is_pinned(self, tiny_design):
+        # stored certificates are addressed by this key: it must not drift
+        assert request_key(CertifyRequest.from_dict(TINY), tiny_design) == (
+            "2183b7a062c31c2391db66f13f3fad8769a789c7d805690112f1e1004def561f"
+        )
+
+    @pytest.mark.parametrize("scheme", ["naive", "acisp20", "triplication"])
+    def test_a_variant_the_scheme_ignores_does_not_rekey(self, scheme):
+        keys = {
+            request_key(CertifyRequest.from_dict(
+                {**TINY, "scheme": scheme, "variant": variant}
+            ))
+            for variant in ("prime", "per_round", "per_sbox")
+        }
+        assert len(keys) == 1
+
+    @pytest.mark.parametrize("scheme", ["three-in-one", "naive", "acisp20", "triplication"])
+    def test_unknown_variant_refused_for_every_scheme(self, scheme):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            CertifyRequest.from_dict({**TINY, "scheme": scheme, "variant": "bogus"})
+
+    def test_wire_document_round_trips(self):
+        request = CertifyRequest.from_dict({**TINY, "cycles": [0, 1], "deadline_s": 2.5})
+        doc = json.loads(json.dumps(request.to_dict()))
+        assert CertifyRequest.from_dict(doc) == request
 
 
 # -------------------------------------------------------------------- store
@@ -351,8 +381,12 @@ BAD_FIELDS = [
     {"seed": -1},
     {"rounds": "x"},
     {"rounds": 2.5},
+    {"rounds": 0},
     {"deadline_s": "soon"},
     {"deadline_s": -1},
+    {"key": 5},
+    {"key": "notanumber"},
+    {"variant": "bogus"},
     {"models": "single"},
     {"models": ["bogus"]},
     {"models": []},
@@ -362,7 +396,7 @@ BAD_FIELDS = [
 
 #: request fields refused once the design is built: the cipher checks its
 #: rounds and λ-variants, and the cycles must lie within those rounds
-BAD_FOR_DESIGN = [{"rounds": 0}, {"variant": "bogus"}, {"cycles": [9]}]
+BAD_FOR_DESIGN = [{"rounds": 99}, {"variant": "per_sbox", "cipher": "aes128"}, {"cycles": [9]}]
 
 
 class TestBadRequests:
@@ -991,3 +1025,79 @@ class TestEagerEnvValidation:
         monkeypatch.setenv("REPRO_SIM_BACKEND", "turbo")
         with pytest.raises(ValueError, match="REPRO_SIM_BACKEND"):
             CertificationService(ServiceConfig(store_dir=tmp_path))
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("jobs", 0),
+            ("jobs", True),
+            ("concurrency", 0),
+            ("concurrency", 1.5),
+            ("max_queue", 0),
+            ("default_deadline_s", -1),
+            ("default_deadline_s", float("nan")),
+            ("drain_timeout_s", -0.5),
+            ("drain_timeout_s", None),
+            ("retry_after_s", 0),
+            ("port", -1),
+            ("port", 65536),
+            ("port", "8642"),
+        ],
+    )
+    def test_rejects_a_bad_value_naming_its_field(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(store_dir=tmp_path, **{field: value})
+
+    def test_edge_values_are_legal(self, tmp_path):
+        ServiceConfig(
+            store_dir=tmp_path, port=65535, default_deadline_s=0,
+            drain_timeout_s=0, max_queue=1, concurrency=1,
+        )
+
+
+class TestOneMapping:
+    """``repro certify`` and ``POST /certify`` map one request to one
+    certifier config; only the run knobs differ."""
+
+    FLAGS = {
+        "scheme": "naive", "rounds": 2, "budget": 64, "runs_per_location": 8,
+        "models": ["coupled", "single"], "cycles": [0, 1], "seed": 5,
+        "key": "0x1234",
+    }
+
+    def test_cli_and_daemon_hand_certify_the_same_config(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.certify
+        from repro.cli import main
+
+        seen = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(design, *, key, config):
+            seen.append((circuit_digest(design.circuit), key, config))
+            raise Captured
+
+        argv = ["certify", "--jobs", "1"]
+        for name, value in self.FLAGS.items():
+            flag = "--" + name.replace("_", "-")
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        monkeypatch.setattr(repro.certify, "certify_design", capture)
+        with pytest.raises(Captured):
+            main(argv)
+        with running(tmp_path / "store", certify=capture) as (service, client):
+            status, _ = client.submit(self.FLAGS)
+        assert status == 500  # the stub raised
+        (cli_digest, cli_key, cli_config), (d_digest, d_key, d_config) = seen
+        assert (cli_digest, cli_key) == (d_digest, d_key)
+        assert d_config.checkpoint_dir and d_config.resume
+        knobs = dict(jobs=1, checkpoint_dir=None, resume=False, wall_budget=None)
+        assert dataclasses.replace(cli_config, **knobs) == dataclasses.replace(
+            d_config, **knobs
+        )
+        assert cli_config.models == ("coupled", "single")
+        assert cli_config.cycles == (0, 1) and cli_config.seed == 5
