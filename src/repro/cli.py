@@ -454,8 +454,11 @@ def _cmd_encrypt(args) -> int:
     from repro.countermeasures import build_three_in_one
 
     spec = make_spec(args.cipher)
-    key = int(args.key, 0)
-    pt = int(args.pt, 0)
+    try:
+        key, pt = int(args.key, 0), int(args.pt, 0)
+    except ValueError as exc:
+        print(f"invalid encrypt options: {exc}", file=sys.stderr)
+        return 2
     design = build_three_in_one(spec)
     sim = design.simulator(1)
     result = design.run(sim, [pt], key, rng=args.seed)
@@ -478,6 +481,17 @@ def _cmd_stats(args) -> int:
         return 1
     print(render_stats(summarize(records), top=args.top))
     return 0
+
+
+def _positive_int(value: str) -> int:
+    """Argparse type for ``--runs``: an integer of at least 1, else exit 2."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"{number} is below 1")
+    return number
 
 
 def _cipher_name(value: str) -> str:
@@ -590,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", _cmd_sweep, 10_000, "fault-round sweep"),
     ):
         p = sub.add_parser(name, help=help_, parents=[common])
-        p.add_argument("--runs", type=int, default=default_runs)
+        p.add_argument("--runs", type=_positive_int, default=default_runs)
         p.add_argument("--seed", type=int, default=4)
         if name != "sweep":
             _add_executor_args(p)

@@ -176,7 +176,18 @@ class RangeRun:
 
     def faulted(self, specs: Sequence[FaultSpec]) -> tuple[np.ndarray, np.ndarray]:
         """One faulted pass under ``specs``: ``(released, fault_flags)``,
-        the released words as byte rows."""
+        the released words as byte rows.
+
+        A spec active at a cycle past the design's last evaluation (cycle
+        ``design.cycles``) could never fire, so it raises ``ValueError``.
+        """
+        last = self.design.cycles
+        for spec in specs:
+            if spec.cycles and max(spec.cycles) > last:
+                raise ValueError(
+                    f"fault cycle {max(spec.cycles)} on net {spec.net} is past "
+                    f"the design's last evaluation, cycle {last}"
+                )
         rng = BlockedRng.from_state(self._after_clean)
         sim = self.sim
         sim.faults = FaultInjector(specs, sim.batch, rng=rng)

@@ -84,6 +84,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0,1]: {self.probability}")
+        if self.cycles and min(self.cycles) < 0:
+            raise ValueError(f"fault cycle {min(self.cycles)} is negative")
 
     def to_dict(self) -> dict:
         """JSON-safe dict; round-trips exactly through :meth:`from_dict`.

@@ -45,9 +45,10 @@ is preallocated and prebound.
 
 Fault semantics follow the shared contract (see
 :class:`~repro.netlist.simulator.Simulator`): the faulty path splits the
-generated program at level boundaries and replays gate-output transforms
-in reference program order via :func:`repro.netlist.levelized.faults_by_level`,
-exactly like the levelized kernel.
+generated program at level boundaries and applies each level's gate-output
+``(keep, flip)`` masks in place after it, grouped by
+:func:`repro.netlist.levelized.faults_by_level` exactly like the levelized
+kernel.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.netlist.gates import GateType
 from repro.netlist.levelized import (
     LevelGroup,
     LevelSchedule,
-    Transform,
     compile_schedule,
     faults_by_level,
 )
@@ -341,8 +341,8 @@ def compile_program(circuit: Circuit) -> CompiledProgram:
 
     # ---- generated factory: binds the prebound views into the fused
     # whole-cycle clean function (one call per fault-free cycle) plus the
-    # per-level functions the faulty path interleaves with transform
-    # replay.  Compiled once per circuit; executed (a few microseconds)
+    # per-level functions the faulty path interleaves with gate-output
+    # masks.  Compiled once per circuit; executed (a few microseconds)
     # once per kernel instance.
     body.append("def _clean():")
     body.extend(f"    {s}" for s in (all_stmts or ["pass"]))
@@ -457,13 +457,13 @@ class CompiledKernel:
             self.vals.take(self.program.dff_d_rows, 0, self._dff_buf, "clip")
             np.copyto(self._q_view, self._dff_buf)
 
-    def run(self, fault_map: Mapping[int, Transform]) -> None:
-        """Evaluate every level, applying ``fault_map`` gate-output transforms.
+    def run(self, fault_map: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Evaluate every level, applying ``fault_map``'s gate-output masks.
 
         The fault-free path is the fused generated program; with faults the
-        same per-level functions run split, each level's transforms
-        replayed in reference program order — the exact discipline of the
-        levelized kernel, on permuted rows.
+        same per-level functions run split, each level's masks applied in
+        place after it — the discipline of the levelized kernel, on
+        permuted rows.
         """
         if fault_map:
             faulted = faults_by_level(self.program.schedule, fault_map)
@@ -472,12 +472,13 @@ class CompiledKernel:
         self._clean()
 
     def _run_faulty(
-        self, faulted: dict[int, list[tuple[int, int, Transform]]]
+        self, faulted: dict[int, list[tuple[int, np.ndarray, np.ndarray]]]
     ) -> None:
         vals = self.vals
         row_of = self.row_of
         for level, fn in enumerate(self._levels):
             fn()
-            for _, net, transform in faulted.get(level, ()):
-                row = row_of[net]
-                vals[row] = transform(vals[row])
+            for net, keep, flip in faulted.get(level, ()):
+                v = vals[row_of[net]]
+                v &= keep
+                v ^= flip

@@ -16,10 +16,10 @@ hundred iterations down to a few dozen.
 Fault semantics are preserved exactly (see the contract in
 :class:`~repro.netlist.simulator.Simulator`): because no gate reads an
 output produced in its own level, applying a faulted gate output's
-transform after its level evaluates — but before any later level runs —
-is observationally identical to the reference interpreter's
-apply-right-after-the-gate behaviour.  Transforms are applied in program
-order within the level, matching the reference ordering bit for bit.
+``(keep, flip)`` masks after its level evaluates — but before any later
+level runs — is observationally identical to the reference interpreter's
+apply-right-after-the-gate behaviour.  A pair reads only its own row, so
+the order within a level is free.
 
 The compiled :class:`LevelSchedule` depends only on the circuit structure
 (never on batch size or fault maps) and is cached per :class:`Circuit`
@@ -31,7 +31,7 @@ same circuit object — levelize once per process, not once per shard.
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +46,6 @@ __all__ = [
     "compile_schedule",
     "faults_by_level",
 ]
-
-Transform = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -74,15 +72,13 @@ class LevelGroup:
 class LevelSchedule:
     """A circuit compiled for batched evaluation.
 
-    ``out_level``/``out_pos`` map every combinational gate's output net to
-    the level that produces it and to its position in the reference
-    program — what the faulty path needs to replay gate-output transforms
-    at the right moment and in program order.
+    ``out_level`` maps every combinational gate's output net to the level
+    that produces it — what the faulty path needs to apply gate-output
+    masks at the right moment.
     """
 
     groups: tuple[tuple[LevelGroup, ...], ...]  # groups[level] -> opcode groups
     out_level: dict[int, int]
-    out_pos: dict[int, int]
     max_group: int
     n_gates: int
 
@@ -101,7 +97,6 @@ def compile_schedule(circuit: Circuit) -> LevelSchedule:
     if cached is not None and cached[0] is order:
         return cached[1]
 
-    out_pos = {gate.out: pos for pos, gate in enumerate(order)}
     out_level: dict[int, int] = {}
     level_groups: list[tuple[LevelGroup, ...]] = []
     max_group = 0
@@ -139,7 +134,6 @@ def compile_schedule(circuit: Circuit) -> LevelSchedule:
     schedule = LevelSchedule(
         groups=tuple(level_groups),
         out_level=out_level,
-        out_pos=out_pos,
         max_group=max_group,
         n_gates=len(order),
     )
@@ -148,25 +142,21 @@ def compile_schedule(circuit: Circuit) -> LevelSchedule:
 
 
 def faults_by_level(
-    schedule: LevelSchedule, fault_map: Mapping[int, Transform]
-) -> dict[int, list[tuple[int, int, Transform]]]:
-    """Group gate-output transforms by producing level, program-ordered.
+    schedule: LevelSchedule, fault_map: Mapping[int, tuple[np.ndarray, np.ndarray]]
+) -> dict[int, list[tuple[int, np.ndarray, np.ndarray]]]:
+    """Group gate-output ``(net, keep, flip)`` entries by producing level.
 
-    Nets in ``fault_map`` that no combinational gate drives (source nets,
-    unknown nets) are ignored here — exactly like the reference
-    interpreter's per-gate ``fault_map.get(out)`` probe.  Shared by the
-    levelized and compiled kernels, which both replay transforms at level
-    boundaries in reference program order.
+    Nets in ``fault_map`` that no combinational gate drives (source nets)
+    are ignored here — exactly like the reference interpreter's per-gate
+    ``fault_map.get(out)`` probe.  Shared by the levelized and compiled
+    kernels, which both apply the masks at level boundaries.
     """
     out_level = schedule.out_level
-    out_pos = schedule.out_pos
-    per_level: dict[int, list[tuple[int, int, Transform]]] = {}
-    for net, transform in fault_map.items():
+    per_level: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for net, (keep, flip) in fault_map.items():
         level = out_level.get(net)
         if level is not None:
-            per_level.setdefault(level, []).append((out_pos[net], net, transform))
-    for entries in per_level.values():
-        entries.sort()
+            per_level.setdefault(level, []).append((net, keep, flip))
     return per_level
 
 
@@ -192,11 +182,11 @@ class LevelizedKernel:
         self._gb = np.empty((rows, n_words), dtype=np.uint64)
         self._gt = np.empty((rows, n_words), dtype=np.uint64)
 
-    def run(self, fault_map: Mapping[int, Transform]) -> None:
-        """Evaluate every level in order, applying ``fault_map`` transforms.
+    def run(self, fault_map: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> None:
+        """Evaluate every level in order, applying ``fault_map``'s masks.
 
-        Source-net transforms are the simulator's job; this method handles
-        the gate-output transforms, replayed after each level.
+        Source-net masks are the simulator's job; this method applies the
+        gate-output masks in place after each level.
         """
         vals = self.vals
         faulted = faults_by_level(self.schedule, fault_map) if fault_map else None
@@ -204,8 +194,10 @@ class LevelizedKernel:
             for group in groups:
                 self._eval_group(group, vals)
             if faulted:
-                for _, net, transform in faulted.get(level, ()):
-                    vals[net] = transform(vals[net])
+                for net, keep, flip in faulted.get(level, ()):
+                    v = vals[net]
+                    v &= keep
+                    v ^= flip
 
     def latch(self) -> None:
         """Clock every DFF: Q <- D."""

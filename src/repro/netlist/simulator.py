@@ -7,12 +7,13 @@ the whole batch at once.  This is what makes the paper's fault campaigns —
 run in seconds of pure Python.
 
 Fault injection is a first-class citizen of the evaluation loop: a *fault
-provider* maps a clock cycle to ``{net: transform}`` entries, and the
-simulator applies each transform to the net's packed value at the moment the
-net is produced (source nets at the start of the cycle, gate outputs right
-after evaluation).  This mirrors VerFI's semantics: the corrupted value is
-seen by the entire fanout, including flip-flop D pins, within that cycle,
-and a fault on a primary input or constant lasts only for that cycle.
+provider* maps a clock cycle to ``{net: (keep, flip)}``, two ``(n_words,)``
+uint64 lane masks per net, and the net's packed value becomes
+``(v & keep) ^ flip`` the moment the net is produced (source nets at the
+start of the cycle, gate outputs right after evaluation).  This mirrors
+VerFI's semantics: the corrupted value is seen by the entire fanout,
+including flip-flop D pins, within that cycle, and a fault on a primary
+input or constant lasts only for that cycle.
 
 Three interchangeable evaluation kernels implement those semantics behind
 one contract (:class:`Kernel`): the per-gate :class:`ReferenceKernel` in
@@ -60,8 +61,6 @@ __all__ = [
     "resolve_backend",
 ]
 
-Transform = Callable[[np.ndarray], np.ndarray]
-
 #: selectable evaluation kernels: the levelized opcode-batched kernel (the
 #: fast path), the AOT-generated straight-line kernel (the fastest path)
 #: and the per-gate reference interpreter (the semantic oracle)
@@ -74,7 +73,7 @@ _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 #: shared empty fault map for fault-free cycles — keeps the steady-state
 #: loop literally allocation-free (asserted in tests/test_compiled_kernel.py)
-_NO_FAULTS: Mapping[int, "Transform"] = {}
+_NO_FAULTS: Mapping[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def resolve_backend(backend: str | None) -> str:
@@ -101,8 +100,9 @@ def resolve_backend(backend: str | None) -> str:
 class FaultProvider(Protocol):
     """Minimal interface the simulator needs from a fault injector."""
 
-    def for_cycle(self, cycle: int) -> Mapping[int, Transform]:
-        """Transforms to apply to net values during clock cycle ``cycle``."""
+    def for_cycle(self, cycle: int) -> Mapping[int, tuple[np.ndarray, np.ndarray]]:
+        """``{net: (keep, flip)}`` for clock cycle ``cycle``: each listed
+        net's packed value becomes ``(v & keep) ^ flip``."""
         ...  # pragma: no cover - protocol
 
 
@@ -112,8 +112,9 @@ class Kernel(Protocol):
     ``vals`` is the ``(num_nets, n_words)`` uint64 value matrix and
     ``row_of`` maps each net id to its row in it (a permutation of the net
     ids).  :meth:`run` evaluates every combinational gate, applying the
-    transform ``fault_map`` holds for a gate's output net right after that
-    gate, and :meth:`latch` clocks every DFF (Q ← D).  Source nets are the
+    ``(keep, flip)`` masks ``fault_map`` holds for a gate's output net in
+    place right after that gate (entries for other nets are ignored), and
+    :meth:`latch` clocks every DFF (Q ← D).  Source nets are the
     simulator's: kernels never write input, constant or DFF-output rows
     except through :meth:`latch`.
     """
@@ -121,7 +122,7 @@ class Kernel(Protocol):
     vals: np.ndarray
     row_of: np.ndarray
 
-    def run(self, fault_map: Mapping[int, Transform]) -> None:
+    def run(self, fault_map: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> None:
         ...  # pragma: no cover - protocol
 
     def latch(self) -> None:
@@ -132,7 +133,7 @@ class ReferenceKernel:
     """The per-gate interpreter: the executable definition of the semantics.
 
     One numpy op per gate per cycle, in topological order, with each gate's
-    output transform applied the moment the gate is evaluated.  Slow by
+    output masks applied the moment the gate is evaluated.  Slow by
     design and the oracle the fast kernels are differentially tested
     against.  Rows are net ids.
     """
@@ -145,7 +146,7 @@ class ReferenceKernel:
         self._dff_d = np.array([g.ins[0] for g in dffs], dtype=np.intp)
         self._dff_q = np.array([g.out for g in dffs], dtype=np.intp)
 
-    def run(self, fault_map: Mapping[int, Transform]) -> None:
+    def run(self, fault_map: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> None:
         vals = self.vals
         for gate in self.gates:
             gtype, ins, out = gate.gtype, gate.ins, gate.out
@@ -168,9 +169,11 @@ class ReferenceKernel:
                 np.bitwise_not(a | vals[ins[1]], out=vals[out])
             else:  # BUF
                 vals[out] = a
-            transform = fault_map.get(out)
-            if transform is not None:
-                vals[out] = transform(vals[out])
+            masks = fault_map.get(out)
+            if masks is not None:
+                v = vals[out]
+                v &= masks[0]
+                v ^= masks[1]
 
     def latch(self) -> None:
         if len(self._dff_q):
@@ -220,26 +223,28 @@ class Simulator:
         is :attr:`kernel`), so ports, readout and source-net faults have a
         single implementation.
 
-    Fault-ordering contract (shared by all backends)
-    ------------------------------------------------
-    Within one :meth:`eval_comb` call, effects apply in exactly this
-    order:
+    Fault contract (shared by all backends)
+    ---------------------------------------
+    A faulted net's value becomes ``(v & keep) ^ flip``.  A pair reads only
+    its own net's row, so only *when* it applies matters.  Within one
+    :meth:`eval_comb` call:
 
     1. input schedules (:meth:`set_input_schedule`) drive their ports;
-    2. fault transforms on *source* nets (primary inputs, constants, DFF
-       outputs) are applied to the driven/latched values.  A transformed
-       input or constant row is restored to its driven value at the start
-       of the next evaluation (or by the next port write or :meth:`reset`),
-       so a fault on it lasts exactly its cycle and a repeated evaluation
-       of the same cycle applies it once;
-    3. gates evaluate in program order, and a faulted gate output's
-       transform is applied the moment that gate's value is produced —
-       before any consumer reads it — so multiple faults along one path
-       compose in program order.
+    2. masks on *source* nets (primary inputs, constants, DFF outputs) are
+       applied to the driven/latched values.  A masked input or constant
+       row is restored to its driven value at the start of the next
+       evaluation (or by the next port write or :meth:`reset`), so a fault
+       on it lasts exactly its cycle and a repeated evaluation of the same
+       cycle applies it once;
+    3. gates evaluate, and a faulted gate output's masks are applied the
+       moment that gate's value is produced — before any consumer reads
+       it — so faults along one path all take effect.
 
-    A transform on a DFF's D-pin net is a fault on whatever gate drives
-    that net, and is therefore seen both by that net's combinational
-    fanout and by the flip-flop latching at the next :meth:`step`.
+    A net that is neither a source nor a gate output is not a net of the
+    circuit, and a fault on it raises :class:`ValueError`.  Masks on a
+    DFF's D-pin net are a fault on whatever gate drives that net, and are
+    therefore seen both by that net's combinational fanout and by the
+    flip-flop latching at the next :meth:`step`.
 
     Usage::
 
@@ -270,25 +275,23 @@ class Simulator:
         self._vals = self.kernel.vals
         row_of = self._row_of = self.kernel.row_of
 
-        # (net, row, holds) per source net, in net order (the order their
-        # transforms apply in); ``holds`` marks inputs and constants, whose
-        # rows keep their value across cycles (DFF rows are rewritten by
-        # every latch)
-        self._sources: list[tuple[int, int, bool]] = []
+        # source net -> (row, holds); ``holds`` marks inputs and constants,
+        # whose rows keep their value across cycles (DFF rows are rewritten
+        # by every latch)
+        self._sources: dict[int, tuple[int, bool]] = {}
         ones: list[int] = []  # nets that power on all-ones
         for g in circuit.gates:
             if g.gtype is GateType.DFF:
-                self._sources.append((g.out, int(row_of[g.out]), False))
+                self._sources[g.out] = (int(row_of[g.out]), False)
                 if g.init:
                     ones.append(g.out)
             elif not g.gtype.is_combinational:
-                self._sources.append((g.out, int(row_of[g.out]), True))
+                self._sources[g.out] = (int(row_of[g.out]), True)
                 if g.gtype is GateType.CONST1:
                     ones.append(g.out)
-        self._sources.sort()
         self._ones_rows = self._net_rows(ones)
         # (row, driven value) of input/constant rows the last evaluation
-        # transformed (contract step 2)
+        # masked (contract step 2)
         self._faulted_sources: list[tuple[int, np.ndarray]] = []
         self._port_rows: dict[str, np.ndarray] = {}
         self._schedules: dict[str, object] = {}
@@ -304,7 +307,7 @@ class Simulator:
         self._vals[self._ones_rows] = _ONES
 
     def _restore_sources(self) -> None:
-        """Undo the last evaluation's transforms on input/constant rows."""
+        """Undo the last evaluation's masks on input/constant rows."""
         for row, driven in self._faulted_sources:
             self._vals[row] = driven
         self._faulted_sources.clear()
@@ -386,9 +389,9 @@ class Simulator:
     def eval_comb(self) -> None:
         """Evaluate the combinational program for the current cycle.
 
-        Follows the fault-ordering contract in the class docstring: input
-        schedules first, then source-net transforms, then the kernel with
-        gate-output transforms applied in program order, so the corrupted
+        Follows the fault contract in the class docstring: input schedules
+        first, then source-net masks, then the kernel with each gate
+        output's masks applied as that gate is produced, so the corrupted
         value propagates exactly as a physical glitch would.
         """
         self._restore_sources()
@@ -398,19 +401,23 @@ class Simulator:
                 self.set_input_words(name, value)
             else:
                 self.set_input_bits(name, value)
-        fault_map: Mapping[int, Transform] = (
-            self.faults.for_cycle(self.cycle)
-            if self.faults is not None
-            else _NO_FAULTS
-        )
-        if fault_map:
-            vals = self._vals
-            for net, row, holds in self._sources:
-                transform = fault_map.get(net)
-                if transform is not None:
-                    if holds:
-                        self._faulted_sources.append((row, vals[row].copy()))
-                    vals[row] = transform(vals[row])
+        faults = self.faults
+        fault_map = faults.for_cycle(self.cycle) if faults is not None else _NO_FAULTS
+        for net, (keep, flip) in fault_map.items():
+            source = self._sources.get(net)
+            if source is None:
+                # a gate output, which the kernel masks as it is produced
+                if self.circuit.driver_of(net) is None:
+                    raise ValueError(
+                        f"fault on net {net!r}, not a net of {self.circuit!r}"
+                    )
+                continue
+            row, holds = source
+            v = self._vals[row]
+            if holds:
+                self._faulted_sources.append((row, v.copy()))
+            v &= keep
+            v ^= flip
         self.kernel.run(fault_map)
 
     def step(self) -> None:

@@ -179,11 +179,13 @@ class CertifyRequest:
 
     def design(self, cache: dict | None = None):
         """Build the design (or take it from ``cache``, keyed by scheme,
-        cipher, variant and rounds) and check the cycles against its rounds."""
+        cipher, rounds and the λ-variant the scheme uses) and check the
+        cycles against its rounds."""
         from repro.certify.space import resolve_cycles
 
         cache = {} if cache is None else cache
-        sig = (self.scheme, self.cipher, self.variant, self.rounds)
+        variant = self.variant if self.scheme == "three-in-one" else None
+        sig = (self.scheme, self.cipher, variant, self.rounds)
         if sig not in cache:
             cache[sig] = build_design(
                 self.scheme, cipher=self.cipher, variant=self.variant,

@@ -23,6 +23,14 @@ class TestParser:
         args = build_parser().parse_args(["fig4", "--runs", "123", "--seed", "9"])
         assert args.runs == 123 and args.seed == 9
 
+    @pytest.mark.parametrize("cmd", ["fig4", "fig5", "matrix", "sweep"])
+    @pytest.mark.parametrize("runs", ["0", "-5", "abc"])
+    def test_runs_below_one_exits_2(self, cmd, runs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--runs", runs])
+        assert exc.value.code == 2
+        assert "argument --runs" in capsys.readouterr().err
+
     def test_serve_and_submit_registered(self):
         text = build_parser().format_help()
         assert "serve" in text and "submit" in text
@@ -187,6 +195,12 @@ class TestFastCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "fault flag: 0" in out
+
+    @pytest.mark.parametrize("flag", ["--key", "--pt"])
+    def test_encrypt_bad_number_exits_2(self, flag, capsys):
+        assert main(["encrypt", flag, "notanumber"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'notanumber'" in err
 
     def test_fig4_small(self, capsys):
         assert main(["fig4", "--runs", "600"]) == 0

@@ -194,13 +194,16 @@ class TestFaultyPathStillExact:
     def test_faulty_then_clean_cycles_match_reference(self):
         circ = _toy_circuit()
 
+        zero = np.zeros(2, dtype=np.uint64)  # 70 lanes are two words
+        ones = ~zero
+
         class Flip:
             def for_cycle(self, cycle):
                 if cycle == 1:
                     # fault a gate output AND a source net
                     return {
-                        circ.inputs["x"][0]: lambda v: ~v,
-                        circ.outputs["y"][1]: lambda v: np.zeros_like(v),
+                        circ.inputs["x"][0]: (ones, ones),  # bit flip
+                        circ.outputs["y"][1]: (zero, zero),  # stuck-at-0
                     }
                 return {}
 

@@ -8,7 +8,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec, FaultType, last_round
 from repro.netlist.builder import CircuitBuilder
 from repro.netlist.simulator import Simulator
-from repro.utils.bits import unpack_bits, words_for
+from repro.rng import make_rng
+from repro.utils.bits import pack_bits, unpack_bits, words_for
 
 _ALL_ONES_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -25,6 +26,12 @@ class TestFaultSpec:
     def test_probability_validated(self):
         with pytest.raises(ValueError):
             FaultSpec(0, FaultType.BIT_FLIP, probability=1.5)
+
+    def test_negative_cycle_refused(self):
+        with pytest.raises(ValueError, match="fault cycle -1 is negative"):
+            FaultSpec.at(3, FaultType.BIT_FLIP, -1)
+        with pytest.raises(ValueError, match="fault cycle -4 is negative"):
+            FaultSpec.at(3, FaultType.STUCK_AT_0, (2, -4))
 
     def test_bias_classification(self):
         assert FaultType.STUCK_AT_0.is_biased
@@ -110,8 +117,33 @@ class TestInjectorSemantics:
             FaultSpec.at(y1, FaultType.STUCK_AT_1, 0),
         ]
         injector = FaultInjector(specs, 1)
-        assert set(injector.for_cycle(0)) == {y0, y1}
-        assert set(injector.for_cycle(1)) == {y0}
+        zero, ones = np.zeros(1, np.uint64), np.full(1, _ALL_ONES_WORD)
+        for cycle, nets in ((0, {y0, y1}), (1, {y0})):
+            table = injector.for_cycle(cycle)
+            assert set(table) == nets
+            for net in nets:  # stuck-at-1 on every lane: (keep, flip) = (0, ones)
+                np.testing.assert_array_equal(table[net][0], zero)
+                np.testing.assert_array_equal(table[net][1], ones)
+
+    def test_windowed_spec_before_a_permanent_one_applies_first(self):
+        circ, y = self.wire_circuit()
+        specs = [
+            FaultSpec.at(y, FaultType.BIT_FLIP, 0),
+            FaultSpec.at(y, FaultType.STUCK_AT_1, None),
+        ]
+        sim = Simulator(circ, batch=2, faults=FaultInjector(specs, 2))
+        sim.set_input_ints("x", [0, 1])
+        sim.eval_comb()
+        # flip, then stuck-at-1: the later spec wins on every lane
+        assert sim.get_output_ints("y") == [1, 1]
+
+    def test_fault_on_a_net_outside_the_circuit_is_refused(self):
+        circ, y = self.wire_circuit()
+        for net in (-1, circ.num_nets, 10**6):
+            spec = FaultSpec.at(net, FaultType.STUCK_AT_0, 0)
+            sim = Simulator(circ, batch=2, faults=FaultInjector([spec], 2))
+            with pytest.raises(ValueError, match=rf"fault on net {net},"):
+                sim.eval_comb()
 
 
 class TestClassification:
@@ -227,9 +259,8 @@ class TestProbabilisticLaneMasks:
     """Per-run lane masks: deterministic per seed, shared per group."""
 
     def _mask_bits(self, injector, net, batch, dtype):
-        ones = np.full(words_for(batch), _ALL_ONES_WORD, dtype=np.uint64)
-        transform = injector.for_cycle(0)[net]
-        hit = unpack_bits((~transform(ones)).reshape(1, -1), batch)[:, 0]
+        keep, _ = injector.for_cycle(0)[net]  # stuck-at-0: keep = ~hit
+        hit = unpack_bits((~keep).reshape(1, -1), batch)[:, 0]
         return hit.astype(dtype)
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 200])
@@ -282,4 +313,88 @@ class TestProbabilisticLaneMasks:
         for cycle in (0, 3):
             table = injector.for_cycle(cycle)
             assert set(table) == {0, 1}
+            for k in (0, 1):  # bit flip on the group's lanes
+                np.testing.assert_array_equal(table[0][k], table[1][k])
         assert injector.for_cycle(1) == {}
+
+
+class TestMaskContract:
+    """The injector's folded ``(keep, flip)`` per net and cycle equals
+    applying each spec's own operation, in spec order, to any word."""
+
+    @staticmethod
+    def apply(kind, hit, v):
+        if kind is FaultType.BIT_FLIP:
+            return v ^ hit
+        if kind in (FaultType.STUCK_AT_1, FaultType.SET_FLIP):
+            return v | hit
+        return v & ~hit  # STUCK_AT_0, RESET_FLIP
+
+    @staticmethod
+    def random_specs(rng, nets, cycles):
+        def spec(net, window):
+            return FaultSpec(
+                net,
+                list(FaultType)[rng.integers(len(FaultType))],
+                window,
+                probability=float(rng.choice([0.0, 0.3, 1.0])),
+                group=str(rng.choice(["", "", "a", "b"])),
+            )
+
+        def window():
+            size = int(rng.integers(1, cycles + 1))
+            return frozenset(int(c) for c in rng.choice(cycles, size, replace=False))
+
+        specs = [
+            spec(int(rng.integers(nets)), None if rng.random() < 0.3 else window())
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        # always a permanent and a windowed spec on one net, in either order
+        pair = [spec(0, None), spec(0, window())]
+        at = int(rng.integers(len(specs) + 1))
+        specs[at:at] = pair if rng.random() < 0.5 else pair[::-1]
+        return specs
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_folded_pair_equals_the_specs_in_order(self, seed):
+        rng = np.random.default_rng(seed)
+        batch = int(rng.choice([1, 37, 64, 65, 130]))
+        n_words = words_for(batch)
+        nets, cycles = 3, 4
+        specs = self.random_specs(rng, nets, cycles)
+        injector = FaultInjector(specs, batch, rng=seed)
+
+        # each spec's hit lanes, drawn per spec or per coupling group in
+        # spec order; an unmasked spec hits every lane, padding included
+        draw, groups, hits = make_rng(seed), {}, []
+        for spec in specs:
+            if spec.probability == 1.0:
+                hits.append(np.full(n_words, _ALL_ONES_WORD))
+                continue
+            if spec.group not in groups:
+                lanes = (draw.random(batch) < spec.probability).astype(np.uint8)
+                hit = pack_bits(lanes[:, None]).reshape(n_words)
+                if not spec.group:
+                    hits.append(hit)
+                    continue
+                groups[spec.group] = hit
+            hits.append(groups[spec.group])
+
+        words = rng.integers(0, 1 << 64, size=(6, n_words), dtype=np.uint64)
+        words[0], words[1] = 0, _ALL_ONES_WORD
+        for cycle in range(cycles + 1):
+            table = injector.for_cycle(cycle)
+            live = [
+                (spec, hit)
+                for spec, hit in zip(specs, hits)
+                if spec.cycles is None or cycle in spec.cycles
+            ]
+            assert set(table) == {spec.net for spec, _ in live}
+            for net, (keep, flip) in table.items():
+                assert keep.dtype == flip.dtype == np.uint64
+                assert keep.shape == flip.shape == (n_words,)
+                want = words.copy()
+                for spec, hit in live:
+                    if spec.net == net:
+                        want = self.apply(spec.fault_type, hit, want)
+                np.testing.assert_array_equal((words & keep) ^ flip, want)

@@ -19,6 +19,7 @@ from repro.ciphers.netlist_present import PresentSpec
 from repro.countermeasures import LambdaVariant, RecoveryPolicy, build_three_in_one
 from repro.faults import FaultSpec, FaultType
 from repro.faults.campaign import RNG_BLOCK, RangeRun, range_rng, run_range
+from repro.faults.classification import Outcome
 from repro.faults.injector import FaultInjector
 from repro.faults.models import last_round, sbox_input_net
 from repro.netlist.simulator import BACKENDS, Simulator
@@ -220,3 +221,43 @@ def test_certify_builds_one_simulator_per_shard(designs, builds):
     )
     assert cert.coverage["locations_covered"] == shards * 64
     assert builds == {runs: shards}
+
+
+@pytest.fixture(scope="module")
+def two_rounds():
+    return build_three_in_one(PresentSpec(rounds=2))
+
+
+@pytest.mark.parametrize("net", [10**6, -1, "num_nets"])
+def test_fault_on_a_net_outside_the_circuit_is_refused(two_rounds, net):
+    """Such a fault cannot fire; it must not report every run INEFFECTIVE."""
+    from repro.faults import run_campaign
+
+    if net == "num_nets":
+        net = two_rounds.circuit.num_nets
+    spec = FaultSpec.at(net, FaultType.STUCK_AT_0, (0,))
+    with pytest.raises(ValueError, match=rf"fault on net {net},"):
+        run_campaign(two_rounds, [spec], n_runs=64, key=1, seed=1)
+
+
+@pytest.mark.parametrize("cycle", [3, 99])
+def test_fault_past_the_last_evaluation_is_refused(two_rounds, cycle):
+    from repro.faults import run_campaign
+
+    net = sbox_input_net(two_rounds.cores[0], 3, 1)
+    spec = FaultSpec.at(net, FaultType.BIT_FLIP, cycle)
+    with pytest.raises(ValueError, match=rf"fault cycle {cycle} on net {net} is past"):
+        run_campaign(two_rounds, [spec], n_runs=64, key=1, seed=1)
+
+
+@pytest.mark.parametrize("cycle", [0, 1, 2])
+def test_fault_at_the_last_evaluation_still_runs(two_rounds, cycle):
+    """Cycle ``design.cycles`` is the output evaluation, not past it."""
+    from repro.faults import run_campaign
+
+    net = sbox_input_net(two_rounds.cores[0], 3, 1)
+    spec = FaultSpec.at(net, FaultType.BIT_FLIP, cycle)
+    result = run_campaign(two_rounds, [spec], n_runs=64, key=1, seed=1)
+    assert result.n_runs == 64
+    if cycle < two_rounds.cycles:  # a round's S-box input: the cores disagree
+        assert result.count(Outcome.DETECTED) == 64

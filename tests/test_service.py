@@ -197,6 +197,19 @@ class TestRequestKey:
         }
         assert len(keys) == 1
 
+    def test_design_cache_holds_one_design_per_netlist(self):
+        cache: dict = {}
+        naive = [
+            CertifyRequest.from_dict({**TINY, "scheme": "naive", "variant": v})
+            for v in ("prime", "per_round", "per_sbox")
+        ]
+        designs = {id(request.design(cache)) for request in naive}
+        assert len(designs) == 1 and len(cache) == 1
+        # three-in-one builds one netlist per λ-variant, so each is cached
+        for variant in ("prime", "per_round"):
+            CertifyRequest.from_dict({**TINY, "variant": variant}).design(cache)
+        assert len(cache) == 3
+
     @pytest.mark.parametrize("scheme", ["three-in-one", "naive", "acisp20", "triplication"])
     def test_unknown_variant_refused_for_every_scheme(self, scheme):
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):

@@ -128,6 +128,13 @@ class TestSequential:
             sim.set_input_schedule("nope", lambda c: None)
 
 
+#: one-word ``(keep, flip)`` pairs on every lane: stuck-at-0 and bit flip
+_ZERO = np.zeros(1, dtype=np.uint64)
+_ONES = np.full(1, 0xFFFF_FFFF_FFFF_FFFF, dtype=np.uint64)
+STUCK_AT_0 = (_ZERO, _ZERO)
+BIT_FLIP = (_ONES, _ONES)
+
+
 class TestFaultHook:
     def make_passthrough(self):
         b = CircuitBuilder()
@@ -141,7 +148,7 @@ class TestFaultHook:
 
         class Stuck:
             def for_cycle(self, cycle):
-                return {y[1]: lambda v: np.zeros_like(v)}
+                return {y[1]: STUCK_AT_0}
 
         sim = Simulator(circ, batch=4, faults=Stuck())
         sim.set_input_ints("x", [0, 1, 2, 3])
@@ -153,7 +160,7 @@ class TestFaultHook:
 
         class FlipInput:
             def for_cycle(self, cycle):
-                return {x[0]: lambda v: ~v}
+                return {x[0]: BIT_FLIP}
 
         sim = Simulator(circ, batch=4, faults=FlipInput())
         sim.set_input_ints("x", [0, 1, 2, 3])
@@ -174,7 +181,7 @@ class TestFaultHook:
         class FlipBit0AtCycle2:
             def for_cycle(self, cycle):
                 if cycle == 2:
-                    return {target: lambda v: ~v}
+                    return {target: BIT_FLIP}
                 return {}
 
         sim = Simulator(b.circuit, batch=1, faults=FlipBit0AtCycle2())

@@ -39,6 +39,13 @@ BATCHES = [1, 3, 37, 64, 65, 100, 128, 200]
 
 ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
+#: one-word ``(keep, flip)`` pairs on every lane
+_ZERO = np.zeros(1, dtype=np.uint64)
+_ONES = np.full(1, ALL_ONES, dtype=np.uint64)
+STUCK_AT_0 = (_ZERO, _ZERO)
+STUCK_AT_1 = (_ZERO, _ONES)
+BIT_FLIP = (_ONES, _ONES)
+
 
 def random_sequential_circuit(rng: np.random.Generator, n_gates: int):
     """A random DAG over all 9 combinational cell types plus DFFs.
@@ -70,36 +77,39 @@ def random_sequential_circuit(rng: np.random.Generator, n_gates: int):
 
 
 class RandomFaults:
-    """A FaultProvider drawing arbitrary per-cycle transforms.
+    """A FaultProvider drawing arbitrary per-cycle ``(keep, flip)`` pairs.
 
-    Covers the stuck-at / flip shapes the injector produces *and* free-form
-    transforms (lane-masked XORs), on arbitrary nets — gate outputs, MUX
-    select lines, DFF D-pin drivers and Q outputs, primary inputs.
+    Covers the stuck-at / flip pairs the injector produces *and* lane-masked
+    XORs, on arbitrary nets — gate outputs, MUX select lines, DFF D-pin
+    drivers and Q outputs, primary inputs.  Two pairs on one net and cycle
+    fold into one, as the injector folds them.
     """
 
     def __init__(self, rng: np.random.Generator, circuit: Circuit, n_words: int, cycles: int):
         self.by_cycle: dict[int, dict] = {}
+        zero = np.zeros(n_words, dtype=np.uint64)
+        ones = ~zero
         n_faults = int(rng.integers(1, 6))
         for _ in range(n_faults):
             net = int(rng.integers(circuit.num_nets))
             active = [int(cy) for cy in rng.choice(cycles, size=int(rng.integers(1, cycles + 1)), replace=False)]
             kind = int(rng.integers(4))
             if kind == 0:
-                transform = lambda v: np.zeros_like(v)
+                keep, flip = zero, zero  # stuck-at-0
             elif kind == 1:
-                transform = lambda v: np.full_like(v, ALL_ONES)
+                keep, flip = zero, ones  # stuck-at-1
             elif kind == 2:
-                transform = lambda v: ~v
+                keep, flip = ones, ones  # bit flip
             else:
                 mask = rng.integers(0, 1 << 63, size=n_words, dtype=np.uint64)
-                transform = lambda v, m=mask: v ^ m
+                keep, flip = ones, mask
             for cy in active:
                 table = self.by_cycle.setdefault(cy, {})
                 prev = table.get(net)
                 if prev is None:
-                    table[net] = transform
+                    table[net] = (keep, flip)
                 else:
-                    table[net] = lambda v, a=prev, b=transform: b(a(v))
+                    table[net] = (prev[0] & keep, (prev[1] & keep) ^ flip)
 
     def for_cycle(self, cycle: int):
         return self.by_cycle.get(cycle, {})
@@ -149,7 +159,7 @@ def run_equivalence_case(seed: int, *, n_gates_hi: int, cycles_hi: int, batches=
     # clean run
     assert_backends_agree(circuit, batch, cycles)
 
-    # arbitrary-transform faults (gate outputs, selects, sources, DFF pins)
+    # hand-drawn mask pairs (gate outputs, selects, sources, DFF pins)
     faults = RandomFaults(rng, circuit, n_words, cycles)
     assert_backends_agree(circuit, batch, cycles, faults=faults)
 
@@ -201,11 +211,11 @@ class TestScheduledInputs:
 
 
 class TestFaultOrderingContract:
-    """Pin the eval_comb ordering both backends must honour.
+    """Pin the eval_comb ordering every backend must honour.
 
     Contract (Simulator docstring): input schedules first, then source-net
-    transforms, then gate evaluation with gate-output transforms applied
-    in program order — a consumer always reads its driver's *transformed*
+    masks, then gate evaluation with each gate output's masks applied as
+    the gate is produced — a consumer always reads its driver's *faulted*
     value, even when driver and consumer sit in different levels.
     """
 
@@ -219,11 +229,11 @@ class TestFaultOrderingContract:
 
         class StuckX:
             def for_cycle(self, cycle):
-                return {x[0]: lambda v: np.zeros_like(v)}
+                return {x[0]: STUCK_AT_0}
 
         sim = Simulator(b.circuit, batch=4, faults=StuckX(), backend=backend)
-        # schedule drives ones every cycle; the stuck-at-0 transform must
-        # win because source transforms run after schedules
+        # schedule drives ones every cycle; the stuck-at-0 masks must win
+        # because source masks apply after schedules
         sim.set_input_schedule("x", lambda cy: np.ones((4, 1), dtype=np.uint8))
         sim.eval_comb()
         assert sim.get_output_ints("y") == [0, 0, 0, 0]
@@ -240,17 +250,14 @@ class TestFaultOrderingContract:
 
         class ChainFaults:
             def for_cycle(self, cycle):
-                return {
-                    g1: lambda v: np.full_like(v, ALL_ONES),  # stuck-at-1
-                    g2: lambda v: ~v,  # bitflip
-                }
+                return {g1: STUCK_AT_1, g2: BIT_FLIP}
 
         sim = Simulator(b.circuit, batch=2, faults=ChainFaults(), backend=backend)
         sim.set_input_ints("x", [0, 0])
         sim.eval_comb()
-        # g1 evaluates to 0, transform forces 1; g2 must read the *faulted*
-        # 1 → NOT gives 0; g2's own transform flips to 1.  A kernel that
-        # deferred g1's transform past g2's evaluation would produce 0.
+        # g1 evaluates to 0, its masks force 1; g2 must read the *faulted*
+        # 1 → NOT gives 0; g2's own masks flip it to 1.  A kernel that
+        # deferred g1's masks past g2's evaluation would produce 0.
         assert sim.get_output_ints("y") == [1, 1]
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -266,7 +273,7 @@ class TestFaultOrderingContract:
         class StickD:
             def for_cycle(self, cycle):
                 if cycle == 0:
-                    return {d: lambda v: np.zeros_like(v)}
+                    return {d: STUCK_AT_0}
                 return {}
 
         sim = Simulator(b.circuit, batch=1, faults=StickD(), backend=backend)
@@ -285,7 +292,7 @@ class TestFaultOrderingContract:
 
         class FlipSel:
             def for_cycle(self, cycle):
-                return {x[2]: lambda v: ~v}
+                return {x[2]: BIT_FLIP}
 
         sim = Simulator(b.circuit, batch=8, faults=FlipSel(), backend=backend)
         sim.set_input_ints("x", list(range(8)))
