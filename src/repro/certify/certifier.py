@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ from repro.faults.classification import Outcome, classify
 from repro.faults.executor import ExecutorConfig, require_int, run_sharded
 from repro.faults.models import FaultScenario
 from repro.netlist.analysis import lint_countermeasure
+from repro.netlist.circuit import circuit_digest
 from repro.netlist.simulator import resolve_backend
 from repro.telemetry import metrics, run_manifest, trace
 
@@ -119,6 +121,12 @@ class CertifyConfig:
                 f"cycles must be None or a non-empty tuple of non-negative "
                 f"integers, got {self.cycles!r}"
             )
+        # A repeat would sweep (and count) its locations twice.
+        for name in ("models", "cycles"):
+            values = getattr(self, name) or ()
+            repeats = [v for v, n in Counter(values).items() if n > 1]
+            if repeats:
+                raise ValueError(f"{name} must not repeat {repeats}, got {values!r}")
 
     def executor(self) -> ExecutorConfig:
         """The shard executor's config for this sweep."""
@@ -293,6 +301,7 @@ def certify_design(
     ]
     identity = {
         "kind": "certify",
+        "netlist": circuit_digest(design.circuit),
         "scheme": design.scheme,
         "variant": design.variant,
         "cipher": design.spec.name,
@@ -316,22 +325,15 @@ def certify_design(
         config.seed,
         runs,
     )
-    with trace.span(
-        "certify.sweep",
-        scheme=design.scheme,
-        locations=int(len(indices)),
-        shards=len(ranges),
-        jobs=config.jobs,
-    ):
-        run = run_sharded(
-            task,
-            ranges,
-            config=config.executor(),
-            identity=identity,
-            keys=CERTIFY_KEYS,
-            on_shard_done=_shard_found_witness if config.fail_fast else None,
-            label=f"certify[{design.scheme}]",
-        )
+    run = run_sharded(
+        task,
+        ranges,
+        config=config.executor(),
+        identity=identity,
+        keys=CERTIFY_KEYS,
+        on_shard_done=_shard_found_witness if config.fail_fast else None,
+        label=f"certify[{design.scheme}]",
+    )
 
     merged = run.merged(CERTIFY_KEYS)
     if merged is None:

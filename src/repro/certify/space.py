@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -298,7 +299,8 @@ def resolve_cycles(
 ) -> tuple[int, ...]:
     """The active rounds ``cycles`` selects on a ``rounds``-round design.
 
-    None selects every round; a round outside ``[0, rounds)`` raises.
+    None selects every round; a round outside ``[0, rounds)`` or listed
+    twice raises.
     """
     if cycles is None:
         return tuple(range(rounds))
@@ -306,6 +308,9 @@ def resolve_cycles(
     bad = [c for c in cycles if not 0 <= c < rounds]
     if bad:
         raise ValueError(f"cycles out of range [0, {rounds}): {bad}")
+    repeats = [c for c, n in Counter(cycles).items() if n > 1]
+    if repeats:
+        raise ValueError(f"cycles must not repeat {repeats}, got {cycles!r}")
     return cycles
 
 

@@ -346,46 +346,15 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_trace_analyze(args) -> int:
-    """Per-request deep dive into a recorded JSONL trace."""
-    from repro.telemetry.stats import (
-        TraceError,
-        analyze_request,
-        load_trace,
-        render_analysis,
-        request_ids,
-    )
+    """Report a recorded JSONL trace: one request's, or the whole trace."""
+    from repro.telemetry.stats import TraceError, load_trace, render, summarize
 
     try:
-        records = load_trace(args.trace_file)
-    except (OSError, TraceError) as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 1
-    rid = args.request
-    if rid is None:
-        ids = request_ids(records)
-        with_spans = [r for r, info in ids.items() if info["spans"]]
-        if len(with_spans) == 1:
-            rid = with_spans[0]
-        elif not with_spans:
-            print("trace carries no request-correlated spans", file=sys.stderr)
-            return 1
-        else:
-            print("multiple requests in trace; pick one with --request:")
-            for name in sorted(ids):
-                info = ids[name]
-                print(
-                    f"  {name}: {info['spans']} spans, {info['events']} events"
-                )
-            return 1
-    try:
-        analysis = analyze_request(records, rid)
+        summary = summarize(load_trace(args.trace_file), request_id=args.request)
     except TraceError as exc:
-        print(f"analyze failed: {exc}", file=sys.stderr)
-        known = sorted(request_ids(records))
-        if known:
-            print(f"request ids in this trace: {', '.join(known)}", file=sys.stderr)
+        print(f"trace analyze: {exc}", file=sys.stderr)
         return 1
-    print(render_analysis(analysis, max_shards=args.max_shards))
+    print(render(summary, top=args.top, max_shards=args.max_shards))
     return 0
 
 
@@ -471,18 +440,6 @@ def _cmd_encrypt(args) -> int:
     return 0 if ct == expected else 1
 
 
-def _cmd_stats(args) -> int:
-    from repro.telemetry.stats import TraceError, load_trace, render_stats, summarize
-
-    try:
-        records = load_trace(args.trace_file)
-    except (OSError, TraceError) as exc:
-        print(f"cannot read trace: {exc}", file=sys.stderr)
-        return 1
-    print(render_stats(summarize(records), top=args.top))
-    return 0
-
-
 def _positive_int(value: str) -> int:
     """Argparse type for ``--runs``: an integer of at least 1, else exit 2."""
     try:
@@ -560,7 +517,7 @@ def _common_options() -> argparse.ArgumentParser:
     Result tables and histograms stay on stdout; diagnostics go through
     :mod:`logging` on stderr (``-v`` → DEBUG, ``-q`` → errors only) and,
     with ``--trace``, every span/event/metric of the run is appended to a
-    JSONL trace readable by ``repro stats``.
+    JSONL trace readable by ``repro trace analyze``.
     """
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("observability")
@@ -574,7 +531,8 @@ def _common_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="append a JSONL trace of this run (inspect with 'repro stats')",
+        help="append a JSONL trace of this run "
+        "(inspect with 'repro trace analyze')",
     )
     return common
 
@@ -730,33 +688,26 @@ def build_parser() -> argparse.ArgumentParser:
     penc.add_argument("--seed", type=int, default=1)
     penc.set_defaults(fn=_cmd_encrypt)
 
-    pstats = sub.add_parser(
-        "stats",
-        help="summarize a JSONL trace recorded with --trace",
-        parents=[common],
-    )
-    pstats.add_argument("trace_file", help="trace file written by --trace")
-    pstats.add_argument(
-        "--top", type=int, default=15, help="span names to show (by total time)"
-    )
-    pstats.set_defaults(fn=_cmd_stats)
-
     ptrace = sub.add_parser(
         "trace",
-        help="inspect recorded traces (trace analyze FILE --request ID)",
+        help="inspect recorded traces (trace analyze FILE [--request ID])",
         parents=[common],
     )
     trace_sub = ptrace.add_subparsers(dest="trace_command", required=True)
     panalyze = trace_sub.add_parser(
         "analyze",
-        help="per-request span tree, critical path, phase/shard breakdown",
+        help="report a trace: manifest, span table, shards, critical path; "
+        "one request's span tree",
         parents=[common],
     )
     panalyze.add_argument("trace_file", help="JSONL trace written by --trace")
     panalyze.add_argument(
         "--request", default=None, metavar="ID",
-        help="request id to analyze (auto-selected when the trace has "
-        "exactly one)",
+        help="request id to report (default: the trace's only request id, "
+        "else the whole trace)",
+    )
+    panalyze.add_argument(
+        "--top", type=int, default=15, help="span names to show (by total time)"
     )
     panalyze.add_argument(
         "--max-shards", type=int, default=10,

@@ -70,6 +70,7 @@ from repro.countermeasures.base import ProtectedDesign
 from repro.faults.classification import Outcome, classify
 from repro.faults.injector import FaultInjector
 from repro.faults.models import FaultSpec
+from repro.netlist.circuit import circuit_digest
 from repro.netlist.simulator import Simulator
 from repro.rng import BlockedRng, derive_rng, random_words
 from repro.telemetry import trace
@@ -434,6 +435,7 @@ def campaign_identity(
 ) -> dict:
     """The manifest fields that pin a checkpoint to one exact campaign."""
     return {
+        "netlist": circuit_digest(design.circuit),
         "scheme": design.scheme,
         "variant": design.variant,
         "block_bits": design.spec.block_bits,

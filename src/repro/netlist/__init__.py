@@ -11,7 +11,7 @@ pure Python.
 
 from repro.netlist.analysis import LintError, LintReport, lint_countermeasure
 from repro.netlist.builder import CircuitBuilder
-from repro.netlist.circuit import Circuit, CircuitError
+from repro.netlist.circuit import Circuit, CircuitError, circuit_digest
 from repro.netlist.gates import Gate, GateType
 from repro.netlist.levelized import LevelizedKernel, LevelSchedule, compile_schedule
 from repro.netlist.simulator import BACKENDS, DEFAULT_BACKEND, Simulator
@@ -29,6 +29,7 @@ __all__ = [
     "LintError",
     "LintReport",
     "Simulator",
+    "circuit_digest",
     "compile_schedule",
     "lint_countermeasure",
 ]

@@ -15,12 +15,13 @@ Invariants enforced by :meth:`Circuit.validate`:
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.netlist.gates import Gate, GateType
 
-__all__ = ["Circuit", "CircuitError", "CircuitStats"]
+__all__ = ["Circuit", "CircuitError", "CircuitStats", "circuit_digest"]
 
 
 class CircuitError(ValueError):
@@ -260,3 +261,23 @@ class Circuit:
 
     def __repr__(self) -> str:
         return f"Circuit({self.name!r}, {len(self.gates)} gates, {self._num_nets} nets)"
+
+
+def circuit_digest(circuit: Circuit) -> str:
+    """SHA-256 identity of a netlist: every gate's type, pins and init.
+
+    Net ids are allocation-ordered and gates are kept in insertion order,
+    so the digest is deterministic for a given builder version and changes
+    whenever the synthesised structure does.  Tags are excluded — they are
+    labels for humans and fault-space enumeration, not circuit semantics
+    (a certify checkpoint pins the enumeration separately, by the space
+    digest).  Service request keys and checkpoint identities carry it.
+    """
+    h = hashlib.sha256()
+    h.update(f"{circuit.name}:{circuit.num_nets}\n".encode())
+    for gate in circuit.gates:
+        h.update(
+            f"{gate.gtype.value}:{gate.out}:"
+            f"{','.join(map(str, gate.ins))}:{gate.init}\n".encode()
+        )
+    return h.hexdigest()

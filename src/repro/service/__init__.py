@@ -19,7 +19,7 @@ _EXPORTS = {
     "ServiceConfig": "repro.service.daemon",
     "ServiceError": "repro.service.client",
     "build_design": "repro.service.protocol",
-    "circuit_digest": "repro.service.protocol",
+    "circuit_digest": "repro.netlist",
     "render_status": "repro.service.top",
     "request_key": "repro.service.protocol",
     "run_top": "repro.service.top",

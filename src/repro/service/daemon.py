@@ -13,7 +13,8 @@ parts:
   requests off a queue and run :func:`repro.certify.certify_design` in a
   thread, checkpointed under the store's ``work/<key>`` directory so any
   interruption — including ``kill -9`` of the whole daemon — resumes
-  deterministically;
+  deterministically (a checkpoint refused there, which only an older
+  version can have left, is removed and the campaign recomputed);
 - the :class:`~repro.service.store.ResultStore` front-ending it all with
   content-addressed dedupe.
 
@@ -73,12 +74,14 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import shutil
 import signal
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
+from repro.faults.checkpoint import CheckpointError
 from repro.resilience.chaos import ChaosSpec, chaos
 from repro.resilience.errors import classify_error
 from repro.service.protocol import CertifyRequest, request_key
@@ -211,9 +214,10 @@ class CertificationService:
         deadline = norm.deadline_s
         if deadline is None:
             deadline = self.config.default_deadline_s
+        work = self.store.work_dir(key)
         config = norm.config(
             jobs=self.config.jobs,
-            checkpoint_dir=str(self.store.work_dir(key)),
+            checkpoint_dir=str(work),
             resume=True,
             wall_budget=deadline,
         )
@@ -222,9 +226,19 @@ class CertificationService:
         # progress under it, and adopts the loop thread's
         # ``service.campaign`` span so the trace stays one tree.
         with trace.bind(request_id=rid), trace.adopt(parent_span):
-            certificate = self._certify(
-                design, key=int(norm.key, 0), config=config
-            )
+            try:
+                certificate = self._certify(
+                    design, key=int(norm.key, 0), config=config
+                )
+            except CheckpointError as exc:
+                # work/<key> is named by a netlist-pinned request key, so a
+                # checkpoint refused there was left by an older version:
+                # drop it and recompute instead of failing the key forever.
+                log.warning("discarding stale checkpoint %s: %s", work, exc)
+                shutil.rmtree(work, ignore_errors=True)
+                certificate = self._certify(
+                    design, key=int(norm.key, 0), config=config
+                )
         if not certificate.degraded:
             with self._store_lock:
                 self.store.put(key, certificate)

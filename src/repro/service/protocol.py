@@ -11,10 +11,10 @@ the content address under which the daemon dedupes and stores them.
 
 The key is a SHA-256 over a canonical document combining
 
-- the **design identity** (:func:`circuit_digest` over the built
-  design's gate list, and the cipher, rounds and λ-variant read from the
-  design: a builder change invalidates stale entries, and a variant the
-  scheme ignores does not split the address),
+- the **design identity** (:func:`~repro.netlist.circuit_digest` over
+  the built design's gate list, and the cipher, rounds and λ-variant read
+  from the design: a builder change invalidates stale entries, and a
+  variant the scheme ignores does not split the address),
 - the **fault-space selection** (models × cycles, budget, runs/location —
   the inputs of ``enumerate_fault_space`` + the budget sampler), and
 - the campaign **seed and key**.
@@ -44,7 +44,6 @@ __all__ = [
     "CertifyRequest",
     "SCHEMES",
     "build_design",
-    "circuit_digest",
     "request_key",
 ]
 
@@ -92,26 +91,6 @@ def build_design(
     if scheme == "triplication":
         return build_triplication(spec)
     raise ValueError(f"unknown scheme {scheme!r} (known: {', '.join(SCHEMES)})")
-
-
-def circuit_digest(circuit) -> str:
-    """SHA-256 identity of a netlist: every gate's type, pins and init.
-
-    Net ids are allocation-ordered and gates are kept in insertion order,
-    so the digest is deterministic for a given builder version and changes
-    whenever the synthesised structure does.  Tags are excluded — they are
-    labels for humans and fault-space enumeration, not circuit semantics
-    (and the enumeration itself is pinned separately via the space digest
-    inside the certify checkpoint identity).
-    """
-    h = hashlib.sha256()
-    h.update(f"{circuit.name}:{circuit.num_nets}\n".encode())
-    for gate in circuit.gates:
-        h.update(
-            f"{gate.gtype.value}:{gate.out}:"
-            f"{','.join(map(str, gate.ins))}:{gate.init}\n".encode()
-        )
-    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -218,11 +197,13 @@ class CertifyRequest:
     def normalized(self) -> "CertifyRequest":
         """Resolve every defaultable field to its canonical value."""
         from repro.certify import DEFAULT_MODELS
-        from repro.ciphers.registry import resolve_cipher
+        from repro.ciphers.registry import get_entry
 
+        entry = get_entry(self.cipher)
         return replace(
             self,
-            cipher=resolve_cipher(self.cipher),
+            cipher=entry.name,
+            rounds=self.rounds if self.rounds is not None else entry.full_rounds,
             models=self.models if self.models is not None else DEFAULT_MODELS,
             key=str(int(self.key, 0)),
         )
@@ -236,6 +217,8 @@ def request_key(request: CertifyRequest, design=None) -> str:
     and λ-variant are read from the design, so a variant the scheme
     ignores does not change the key.
     """
+    from repro.netlist import circuit_digest
+
     norm = request.normalized()
     if design is None:
         design = norm.design()

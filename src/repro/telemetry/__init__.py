@@ -6,7 +6,7 @@ otherwise run dark.  This package gives them structured visibility with
 stdlib-only machinery and **zero overhead when disabled**:
 
 :mod:`repro.telemetry.trace`
-    Span-based tracing: ``with trace.span("certify.sweep", total=n):``
+    Span-based tracing: ``with trace.span("certify.lint", scheme=s):``
     context managers with monotonic timings, nested span ids, one JSON
     object per line in the sink file (JSONL).  Disabled (the default),
     ``trace.span`` returns a shared no-op object.  ``trace.bind``
@@ -35,9 +35,10 @@ stdlib-only machinery and **zero overhead when disabled**:
     checkpoints, certificates and every ``benchmarks/out/BENCH_*.json``.
 
 :mod:`repro.telemetry.stats`
-    Offline summarisation of a recorded trace (``repro stats FILE``) and
-    per-request deep dives (``repro trace analyze FILE --request ID``):
-    span tree, critical path, per-phase and per-shard breakdowns.
+    The offline report of a recorded trace (``repro trace analyze FILE
+    [--request ID]``): one summarizer and one renderer for a whole trace
+    or one request — span table, critical path, slowest shards, and the
+    selected request's span tree.
 
 :mod:`repro.telemetry.history`
     The benchmark-history ledger and perf-regression sentinel behind

@@ -5,7 +5,7 @@ complete.  Each update is mirrored three ways:
 
 - a ``progress`` trace event (when the tracer is enabled) carrying
   ``done``/``total``/``rate``/``eta_s`` — this is what the acceptance
-  trace and ``repro stats`` consume;
+  trace and ``repro trace analyze`` consume;
 - the module-level *live board*: when the tracker's thread carries a
   bound ``request_id`` (:meth:`Tracer.bind`), the latest snapshot is
   published under that id so the service's ``GET /status`` can report

@@ -1,29 +1,23 @@
-"""Offline trace summarisation — ``repro stats`` and ``repro trace analyze``.
+"""Offline trace report — ``repro trace analyze``.
 
-Reads a JSONL trace recorded via ``--trace FILE``, aggregates it, and
-renders a terminal digest: the run manifest, top spans by cumulative wall
-time, shard retry/failure counts, and end-of-sweep throughput/ETA from
-the recorded ``progress`` events.  :func:`analyze_request` goes deeper
-for one request id: it reconstructs the request's span tree (workers'
-spans nest under the supervisor's via ``Tracer.adopt``), walks the
-critical path, and breaks wall time down per phase (span name) and per
-shard.  Pure functions over parsed records so the test suite can drive
-them on synthetic traces.
+Reads a JSONL trace recorded via ``--trace FILE`` (or by the end-to-end
+benchmark), selects one request's records or the whole trace, aggregates
+them once (:func:`summarize`) and renders one report (:func:`render`):
+the run manifest, the span-name table, shard retries and failures,
+event counts, final progress per label, counters and gauges, the
+critical path and the slowest shards — plus, for a selected request, its
+span tree (workers' spans nest under the supervisor's via
+``Tracer.adopt``).  Pure functions over parsed records so the test suite
+can drive them on synthetic traces.
 """
 
 from __future__ import annotations
 
 import json
+import textwrap
 from pathlib import Path
 
-__all__ = [
-    "analyze_request",
-    "load_trace",
-    "render_analysis",
-    "render_stats",
-    "request_ids",
-    "summarize",
-]
+__all__ = ["TraceError", "load_trace", "render", "summarize"]
 
 
 class TraceError(ValueError):
@@ -52,17 +46,46 @@ def load_trace(path) -> list[dict]:
     return records
 
 
-def summarize(records: list[dict]) -> dict:
-    """Aggregate a trace into a JSON-safe summary document."""
-    spans: dict[str, dict] = {}
-    events: dict[str, int] = {}
-    progress_last: dict[str, dict] = {}
-    manifest: dict = {}
-    metrics_snapshot: dict = {}
-    retries = 0
-    quarantined = 0
-    pids: set[int] = set()
+def _dur(span: dict) -> float:
+    return float(span.get("dur_s", 0.0))
 
+
+def summarize(records: list[dict], request_id: str | None = None) -> dict:
+    """Aggregate a trace, or one request's records, into a JSON-safe summary.
+
+    Without ``request_id`` the summary covers the trace's only request id
+    when it holds exactly one (a CLI run stamps ``cli-<pid>-<command>``),
+    else the whole trace.  The manifest and the final metrics snapshot
+    describe the run and are kept either way.  An id that no record
+    carries raises :class:`TraceError` naming the ids the trace holds.
+    """
+    ids = sorted(
+        {r["request_id"] for r in records if r.get("request_id") is not None},
+        key=str,
+    )
+    if request_id is None and len(ids) == 1:
+        request_id = ids[0]
+    if request_id is not None:
+        if request_id not in ids:
+            known = ", ".join(map(str, ids)) or "none"
+            raise TraceError(
+                f"no records carry request_id={request_id!r} "
+                f"(request ids in this trace: {known})"
+            )
+        records = [
+            r for r in records
+            if r.get("request_id") == request_id
+            or r.get("type") in ("manifest", "metrics")
+        ]
+
+    names: dict[str, dict] = {}
+    spans: list[dict] = []
+    events: dict[str, int] = {}
+    progress: dict[str, dict] = {}
+    manifest: dict = {}
+    snapshot: dict = {}
+    retries = quarantined = 0
+    pids: set[int] = set()
     for record in records:
         rtype = record.get("type")
         if "pid" in record:
@@ -70,16 +93,16 @@ def summarize(records: list[dict]) -> dict:
         if rtype == "manifest":
             manifest = {k: v for k, v in record.items() if k != "type"}
         elif rtype == "metrics":
-            metrics_snapshot = record.get("metrics", {})
+            snapshot = record.get("metrics", {})
         elif rtype == "span":
-            agg = spans.setdefault(
+            spans.append(record)
+            agg = names.setdefault(
                 record.get("name", "?"),
                 {"count": 0, "total_s": 0.0, "max_s": 0.0, "errors": 0},
             )
-            dur = float(record.get("dur_s", 0.0))
             agg["count"] += 1
-            agg["total_s"] += dur
-            agg["max_s"] = max(agg["max_s"], dur)
+            agg["total_s"] += _dur(record)
+            agg["max_s"] = max(agg["max_s"], _dur(record))
             if "error" in record:
                 agg["errors"] += 1
         elif rtype == "event":
@@ -87,81 +110,27 @@ def summarize(records: list[dict]) -> dict:
             events[name] = events.get(name, 0) + 1
             attrs = record.get("attrs", {})
             if name == "progress":
-                progress_last[attrs.get("label", "progress")] = attrs
+                progress[attrs.get("label", "progress")] = attrs
             elif name == "shard.retry":
                 retries += 1
             elif name == "shard.quarantined":
                 quarantined += 1
 
-    counters = metrics_snapshot.get("counters", {})
-    retries = max(retries, int(counters.get("executor.shards_retried", 0)))
-    quarantined = max(
-        quarantined, int(counters.get("executor.shards_quarantined", 0))
-    )
-    for agg in spans.values():
+    # The final counters are the process's: they speak for a request only
+    # when it is the trace's one request.
+    if request_id is None or len(ids) == 1:
+        counters = snapshot.get("counters", {})
+        retries = max(retries, int(counters.get("executor.shards_retried", 0)))
+        quarantined = max(
+            quarantined, int(counters.get("executor.shards_quarantined", 0))
+        )
+    for agg in names.values():
         agg["total_s"] = round(agg["total_s"], 6)
         agg["max_s"] = round(agg["max_s"], 6)
         agg["mean_s"] = round(agg["total_s"] / agg["count"], 6)
-    return {
-        "records": len(records),
-        "pids": sorted(pids),
-        "manifest": manifest,
-        "spans": dict(
-            sorted(spans.items(), key=lambda kv: -kv[1]["total_s"])
-        ),
-        "events": dict(sorted(events.items())),
-        "retries": retries,
-        "failed_shards": quarantined,
-        "progress": progress_last,
-        "metrics": metrics_snapshot,
-    }
-
-
-def request_ids(records: list[dict]) -> dict[str, dict]:
-    """Index a trace by top-level ``request_id``: counts + first activity."""
-    out: dict[str, dict] = {}
-    for record in records:
-        rid = record.get("request_id")
-        if rid is None:
-            continue
-        info = out.setdefault(
-            rid, {"spans": 0, "events": 0, "first_t": None, "names": set()}
-        )
-        rtype = record.get("type")
-        if rtype == "span":
-            info["spans"] += 1
-            info["names"].add(record.get("name", "?"))
-        elif rtype == "event":
-            info["events"] += 1
-        t = record.get("t")
-        if t is not None and (info["first_t"] is None or t < info["first_t"]):
-            info["first_t"] = t
-    for info in out.values():
-        info["names"] = sorted(info["names"])
-    return out
-
-
-def analyze_request(records: list[dict], request_id: str) -> dict:
-    """Deep-dive one request: span tree, critical path, phase/shard tables.
-
-    Raises :class:`TraceError` when the id matches no spans, so callers
-    can list what *is* in the trace instead of printing an empty report.
-    """
-    spans = [
-        r
-        for r in records
-        if r.get("type") == "span" and r.get("request_id") == request_id
-    ]
-    if not spans:
-        raise TraceError(f"no spans carry request_id={request_id!r}")
-    events = [
-        r
-        for r in records
-        if r.get("type") == "event" and r.get("request_id") == request_id
-    ]
 
     by_id = {s["span_id"]: s for s in spans if s.get("span_id")}
-    children: dict[str | None, list[dict]] = {}
+    children: dict[str, list[dict]] = {}
     roots: list[dict] = []
     for span in spans:
         parent = span.get("parent_id")
@@ -176,26 +145,11 @@ def analyze_request(records: list[dict], request_id: str) -> dict:
     # critical path: from the longest root, repeatedly descend into the
     # longest child — the chain a latency fix has to shorten
     critical: list[dict] = []
-    if roots:
-        node = max(roots, key=lambda s: s.get("dur_s", 0.0))
-        while node is not None:
-            critical.append(node)
-            kids = children.get(node.get("span_id"), [])
-            node = max(kids, key=lambda s: s.get("dur_s", 0.0)) if kids else None
-
-    phases: dict[str, dict] = {}
-    for span in spans:
-        agg = phases.setdefault(
-            span.get("name", "?"), {"count": 0, "total_s": 0.0, "max_s": 0.0}
-        )
-        dur = float(span.get("dur_s", 0.0))
-        agg["count"] += 1
-        agg["total_s"] += dur
-        agg["max_s"] = max(agg["max_s"], dur)
-    for agg in phases.values():
-        agg["total_s"] = round(agg["total_s"], 6)
-        agg["max_s"] = round(agg["max_s"], 6)
-        agg["mean_s"] = round(agg["total_s"] / agg["count"], 6)
+    node = max(roots, key=_dur) if roots else None
+    while node is not None:
+        critical.append({"name": node.get("name"), "dur_s": round(_dur(node), 6)})
+        kids = children.get(node.get("span_id"), [])
+        node = max(kids, key=_dur) if kids else None
 
     shards = sorted(
         (
@@ -204,7 +158,7 @@ def analyze_request(records: list[dict], request_id: str) -> dict:
                 "lo": span.get("attrs", {}).get("lo"),
                 "hi": span.get("attrs", {}).get("hi"),
                 "attempt": span.get("attrs", {}).get("attempt"),
-                "dur_s": round(float(span.get("dur_s", 0.0)), 6),
+                "dur_s": round(_dur(span), 6),
                 "pid": span.get("pid"),
             }
             for span in spans
@@ -213,107 +167,31 @@ def analyze_request(records: list[dict], request_id: str) -> dict:
         key=lambda row: -row["dur_s"],
     )
 
-    event_counts: dict[str, int] = {}
-    last_progress: dict | None = None
-    for event in events:
-        name = event.get("name", "?")
-        event_counts[name] = event_counts.get(name, 0) + 1
-        if name == "progress":
-            last_progress = event.get("attrs", {})
-
     return {
         "request_id": request_id,
-        "spans": len(spans),
-        "pids": sorted({s.get("pid") for s in spans if s.get("pid") is not None}),
-        "roots": roots,
-        "children": children,
-        "critical_path": [
-            {"name": s.get("name"), "dur_s": round(float(s.get("dur_s", 0.0)), 6)}
-            for s in critical
-        ],
-        "phases": dict(sorted(phases.items(), key=lambda kv: -kv[1]["total_s"])),
+        "request_ids": ids,
+        "records": len(records),
+        "pids": sorted(pids),
+        "manifest": manifest,
+        "spans": dict(sorted(names.items(), key=lambda kv: -kv[1]["total_s"])),
+        "events": dict(sorted(events.items())),
+        "retries": retries,
+        "failed_shards": quarantined,
+        "progress": progress,
+        "metrics": snapshot,
+        "critical_path": critical,
         "shards": shards,
-        "events": dict(sorted(event_counts.items())),
-        "progress": last_progress,
+        # the tree of a whole trace (thousands of spans) is not a report
+        "tree": (
+            {"roots": roots, "children": children}
+            if request_id is not None
+            else None
+        ),
     }
 
 
-def render_analysis(analysis: dict, *, max_shards: int = 10) -> str:
-    """Human-readable report of :func:`analyze_request`'s output."""
-    lines: list[str] = []
-    lines.append(
-        f"request {analysis['request_id']}: {analysis['spans']} spans "
-        f"across {len(analysis['pids'])} process(es)"
-    )
-
-    lines.append("")
-    lines.append("span tree:")
-    children = analysis["children"]
-
-    def walk(span: dict, depth: int) -> None:
-        attrs = span.get("attrs", {})
-        shard = f" shard={attrs['shard']}" if "shard" in attrs else ""
-        err = f"  ERROR {span['error']}" if span.get("error") else ""
-        lines.append(
-            f"  {'  ' * depth}{span.get('name', '?'):<{max(1, 30 - 2 * depth)}} "
-            f"{float(span.get('dur_s', 0.0)):>9.3f}s{shard}{err}"
-        )
-        for kid in children.get(span.get("span_id"), []):
-            walk(kid, depth + 1)
-
-    for root in analysis["roots"]:
-        walk(root, 0)
-
-    if analysis["critical_path"]:
-        path = " -> ".join(
-            f"{step['name']} ({step['dur_s']:.3f}s)"
-            for step in analysis["critical_path"]
-        )
-        lines.append("")
-        lines.append(f"critical path: {path}")
-
-    lines.append("")
-    lines.append("per-phase wall time:")
-    lines.append(
-        f"  {'phase':<28} {'count':>6} {'total s':>10} {'mean s':>10} {'max s':>10}"
-    )
-    for name, agg in analysis["phases"].items():
-        lines.append(
-            f"  {name:<28} {agg['count']:>6} {agg['total_s']:>10.3f} "
-            f"{agg['mean_s']:>10.4f} {agg['max_s']:>10.3f}"
-        )
-
-    if analysis["shards"]:
-        lines.append("")
-        lines.append(f"slowest shards (of {len(analysis['shards'])}):")
-        lines.append(
-            f"  {'shard':>5} {'range':>15} {'attempt':>7} {'dur s':>10} {'pid':>8}"
-        )
-        for row in analysis["shards"][:max_shards]:
-            rng = f"[{row['lo']},{row['hi']})"
-            lines.append(
-                f"  {row['shard'] if row['shard'] is not None else '?':>5} "
-                f"{rng:>15} {row['attempt'] if row['attempt'] is not None else '?':>7} "
-                f"{row['dur_s']:>10.3f} {row['pid'] if row['pid'] is not None else '?':>8}"
-            )
-
-    if analysis["events"]:
-        lines.append("")
-        lines.append(
-            "events: "
-            + ", ".join(f"{k}={v}" for k, v in analysis["events"].items())
-        )
-    snap = analysis.get("progress")
-    if snap:
-        lines.append(
-            f"final progress: {snap.get('done')}/{snap.get('total')} units"
-            + (f" at {snap['rate']:,.0f}/s" if snap.get("rate") else "")
-        )
-    return "\n".join(lines)
-
-
-def render_stats(summary: dict, *, top: int = 15) -> str:
-    """Human-readable digest of :func:`summarize`'s output."""
+def render(summary: dict, *, top: int = 15, max_shards: int = 10) -> str:
+    """Human-readable report of :func:`summarize`'s output."""
     lines: list[str] = []
     manifest = summary["manifest"]
     if manifest:
@@ -327,22 +205,74 @@ def render_stats(summary: dict, *, top: int = 15) -> str:
             f"  python {manifest.get('python', '?')}, numpy "
             f"{manifest.get('numpy', '?')}, {manifest.get('timestamp', '?')}"
         )
+    else:
+        lines.append("manifest: (none in trace)")
+    rid = summary["request_id"]
+    scope = f"request {rid}" if rid is not None else "trace"
     lines.append(
-        f"records: {summary['records']} across "
-        f"{len(summary['pids'])} process(es)"
+        f"{scope}: {summary['records']} records, "
+        f"{sum(a['count'] for a in summary['spans'].values())} spans "
+        f"across {len(summary['pids'])} process(es)"
     )
+    if rid is None and summary["request_ids"]:
+        lines.append(textwrap.fill(
+            ", ".join(map(str, summary["request_ids"])),
+            width=100,
+            initial_indent=f"request ids ({len(summary['request_ids'])}): ",
+            subsequent_indent="  ",
+        ))
+
+    tree = summary["tree"]
+    if tree and tree["roots"]:
+        lines.append("")
+        lines.append("span tree:")
+
+        def walk(span: dict, depth: int) -> None:
+            attrs = span.get("attrs", {})
+            shard = f" shard={attrs['shard']}" if "shard" in attrs else ""
+            err = f"  ERROR {span['error']}" if span.get("error") else ""
+            lines.append(
+                f"  {'  ' * depth}{span.get('name', '?'):<{max(1, 30 - 2 * depth)}} "
+                f"{_dur(span):>9.3f}s{shard}{err}"
+            )
+            for kid in tree["children"].get(span.get("span_id"), []):
+                walk(kid, depth + 1)
+
+        for root in tree["roots"]:
+            walk(root, 0)
+
+    if summary["critical_path"]:
+        lines.append("")
+        lines.append("critical path: " + " -> ".join(
+            f"{step['name']} ({step['dur_s']:.3f}s)"
+            for step in summary["critical_path"]
+        ))
 
     if summary["spans"]:
         lines.append("")
         lines.append("top spans by cumulative wall time:")
         lines.append(
-            f"  {'span':<28} {'count':>6} {'total s':>10} {'mean s':>10} {'max s':>10}"
+            f"  {'span':<28} {'count':>6} {'total s':>10} {'mean s':>10} "
+            f"{'max s':>10} {'errored':>7}"
         )
         for name, agg in list(summary["spans"].items())[:top]:
             lines.append(
                 f"  {name:<28} {agg['count']:>6} {agg['total_s']:>10.3f} "
-                f"{agg['mean_s']:>10.4f} {agg['max_s']:>10.3f}"
-                + (f"  ({agg['errors']} errored)" if agg["errors"] else "")
+                f"{agg['mean_s']:>10.4f} {agg['max_s']:>10.3f} {agg['errors']:>7}"
+            )
+
+    if summary["shards"]:
+        lines.append("")
+        lines.append(f"slowest shards (of {len(summary['shards'])}):")
+        lines.append(
+            f"  {'shard':>5} {'range':>15} {'attempt':>7} {'dur s':>10} {'pid':>8}"
+        )
+        for row in summary["shards"][:max_shards]:
+            rng = f"[{row['lo']},{row['hi']})"
+            lines.append(
+                f"  {row['shard'] if row['shard'] is not None else '?':>5} "
+                f"{rng:>15} {row['attempt'] if row['attempt'] is not None else '?':>7} "
+                f"{row['dur_s']:>10.3f} {row['pid'] if row['pid'] is not None else '?':>8}"
             )
 
     lines.append("")
@@ -350,25 +280,24 @@ def render_stats(summary: dict, *, top: int = 15) -> str:
         f"shards: {summary['retries']} retried, "
         f"{summary['failed_shards']} failed permanently"
     )
+    if summary["events"]:
+        lines.append(
+            "events: " + ", ".join(f"{k}={v}" for k, v in summary["events"].items())
+        )
     for label, snap in summary["progress"].items():
-        done, total = snap.get("done"), snap.get("total")
         rate = snap.get("rate")
         lines.append(
-            f"throughput [{label}]: {done}/{total} units"
+            f"throughput [{label}]: {snap.get('done')}/{snap.get('total')} units"
             + (f" at {rate:,.0f}/s" if rate else "")
-            + (
-                f", eta {snap['eta_s']:.0f}s"
-                if snap.get("eta_s")
-                else " (complete)"
-            )
+            + (f", eta {snap['eta_s']:.0f}s" if snap.get("eta_s") else " (complete)")
         )
     counters = summary["metrics"].get("counters", {})
-    if counters:
+    gauges = summary["metrics"].get("gauges", {})
+    if counters or gauges:
         lines.append("")
         lines.append("counters:")
         for name, value in counters.items():
             lines.append(f"  {name} = {value}")
-    gauges = summary["metrics"].get("gauges", {})
-    for name, value in gauges.items():
-        lines.append(f"  {name} = {value:,.2f}")
+        for name, value in gauges.items():
+            lines.append(f"  {name} = {value:,.2f}")
     return "\n".join(lines)

@@ -4,6 +4,9 @@ Certify runs here use reduced-round PRESENT instances and small budgets —
 the full-scale sweeps live in ``benchmarks/bench_certify_coverage.py``.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,11 @@ from repro.certify import (
 )
 from repro.ciphers.netlist_present import PresentSpec
 from repro.countermeasures import build_naive_duplication, build_three_in_one
+from repro.faults import CheckpointError
 from repro.faults.classification import Outcome
 from repro.netlist.gates import GateType
 from repro.netlist.simulator import DEFAULT_BACKEND
+from repro.service.protocol import build_design
 
 KEY = 0x1A2B3C4D5E6F708192A3
 
@@ -84,6 +89,8 @@ class TestSpace:
             enumerate_fault_space(naive2, models=("single", "laser"))
         with pytest.raises(ValueError, match="cycles out of range"):
             enumerate_fault_space(naive2, cycles=(99,))
+        with pytest.raises(ValueError, match=r"cycles must not repeat \[0\]"):
+            enumerate_fault_space(naive2, cycles=(0, 0))
 
     def test_sample_is_deterministic_sorted_stratified(self, naive2):
         space = enumerate_fault_space(naive2)
@@ -141,6 +148,8 @@ class TestCertifyConfig:
             {"seed": "abc"},
             {"seed": -1},
             {"seed": 1.0},
+            {"cycles": (1, 1)},
+            {"models": ("layer_glitch", "single", "layer_glitch")},
         ],
     )
     def test_rejects_a_bad_fault_selection_or_seed(self, kwargs):
@@ -302,6 +311,30 @@ class TestCertify:
         assert resumed.render(include_timing=False) == direct.render(
             include_timing=False
         )
+
+    def test_resume_under_another_netlist_is_refused(self, tmp_path):
+        """Retyping one encoder gate keeps every net id, so the fault space
+        and its digest stay the same; the checkpoint must still refuse it."""
+        design = build_design("three-in-one", rounds=2)
+        broken = copy.deepcopy(design)
+        circuit = broken.circuit
+        index = next(
+            i for i, g in enumerate(circuit.gates)
+            if g.gtype is GateType.XOR and g.tag.startswith("a/encode")
+        )
+        gate = dataclasses.replace(circuit.gates[index], gtype=GateType.XNOR)
+        circuit.gates[index] = gate
+        circuit._driver[gate.out] = gate
+        circuit._topo_cache = circuit._levels_cache = None
+
+        config = CertifyConfig(budget=128 * 64, seed=5)
+        assert not certify_design(broken, key=9, config=config).passed
+        ck = dataclasses.replace(config, checkpoint_dir=tmp_path / "ck")
+        assert certify_design(design, key=9, config=ck).passed
+        with pytest.raises(CheckpointError, match="netlist"):
+            certify_design(
+                broken, key=9, config=dataclasses.replace(ck, resume=True)
+            )
 
     def test_fail_fast_stops_scheduling(self, naive2):
         cert = certify_design(

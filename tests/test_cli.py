@@ -142,6 +142,8 @@ class TestRequestFlags:
             (["--key", "nope"], "key must be an integer literal"),
             (["--variant", "bogus"], "unknown variant 'bogus'"),
             (["--budget", "0"], "budget must be a positive"),
+            (["--cycles", "1,1"], "cycles must not repeat [1]"),
+            (["--models", "coupled,coupled"], "models must not repeat ['coupled']"),
         ],
     )
     def test_bad_submit_exits_2_without_connecting(self, flags, message, monkeypatch, capsys):
@@ -290,8 +292,12 @@ class TestCertifyCommand:
         cert = json.loads(out.read_text())
         assert cert["timing"]["manifest"]["backend"] == expected
         capsys.readouterr()
-        assert main(["stats", str(trace_file)]) == 0
-        assert f"backend={expected}" in capsys.readouterr().out
+        assert main(["trace", "analyze", str(trace_file)]) == 0
+        report = capsys.readouterr().out
+        assert f"backend={expected}" in report and "span tree:" in report
+        # the sharded sweep's own span carries the label, shards and jobs
+        assert "executor.run_sharded" in report
+        assert "certify.sweep" not in trace_file.read_text()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -317,6 +323,8 @@ class TestCertifyCommand:
             (["--cycles", "1,x"], "cycles must be comma-separated integers"),
             (["--key", "notanumber"], "key must be an integer literal"),
             (["--variant", "bogus"], "unknown variant 'bogus'"),
+            (["--cycles", "1,1"], "cycles must not repeat [1]"),
+            (["--models", "coupled,coupled"], "models must not repeat ['coupled']"),
         ],
     )
     def test_bad_fault_selection_exits_2(self, flags, message, capsys):

@@ -580,6 +580,9 @@ class TestCheckpointIntegrity:
         self._checkpointed(naive_design, present_spec, ck)
         raw = json.loads((ck / "manifest.json").read_text())
         assert raw["campaign"] == {
+            "netlist": (
+                "6af8541d37cc8d29be55d02024d4d2829717eb7c03092225d6637a63145c2cd0"
+            ),
             "scheme": "naive_duplication",
             "variant": None,
             "block_bits": 64,
@@ -597,6 +600,29 @@ class TestCheckpointIntegrity:
                 }
             ],
         }
+
+    def test_resume_under_another_netlist_is_refused(self, tmp_path):
+        """Two constructions of one scheme share its name, variant and
+        block size; the checkpoint of one must not answer for the other."""
+        from repro.ciphers.registry import make_spec
+        from repro.countermeasures import build_three_in_one
+
+        spec = make_spec("present80", rounds=3)
+        monolithic = build_three_in_one(spec, construction="monolithic")
+        separate = build_three_in_one(spec, construction="separate")
+        fault = [FaultSpec.at(700, FaultType.BIT_FLIP, 1)]
+        ck = tmp_path / "ck"
+        run_campaign(
+            monolithic, fault, n_runs=2048, key=7, seed=3,
+            executor=ExecutorConfig(shard_runs=1024, checkpoint_dir=ck),
+        )
+        with pytest.raises(CheckpointError, match="netlist"):
+            run_campaign(
+                separate, fault, n_runs=2048, key=7, seed=3,
+                executor=ExecutorConfig(
+                    shard_runs=1024, checkpoint_dir=ck, resume=True
+                ),
+            )
 
     def test_manifest_from_older_semantics_is_refused_on_resume(
         self, naive_design, present_spec, tmp_path

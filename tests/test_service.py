@@ -209,6 +209,14 @@ class TestRequestKey:
         for variant in ("prime", "per_round"):
             CertifyRequest.from_dict({**TINY, "variant": variant}).design(cache)
         assert len(cache) == 3
+        # the cipher's round count left to default or spelled out: one netlist
+        full = [
+            CertifyRequest.from_dict({**TINY, "rounds": rounds}).normalized()
+            for rounds in (None, 31)
+        ]
+        assert full[0] == full[1]
+        assert full[0].design(cache) is full[1].design(cache)
+        assert len(cache) == 4
 
     @pytest.mark.parametrize("scheme", ["three-in-one", "naive", "acisp20", "triplication"])
     def test_unknown_variant_refused_for_every_scheme(self, scheme):
@@ -405,6 +413,8 @@ BAD_FIELDS = [
     {"models": []},
     {"cycles": []},
     {"cycles": ["1"]},
+    {"cycles": [1, 1]},
+    {"models": ["coupled", "coupled"]},
 ]
 
 #: request fields refused once the design is built: the cipher checks its
@@ -521,6 +531,41 @@ class TestDaemonEndToEnd:
             assert not service.store.pending_work()
             status, cached = client.submit(TINY)
             assert cached["cached"] == "store"
+
+
+class TestStaleCheckpoint:
+    def test_checkpoint_of_an_older_version_is_recomputed(
+        self, tmp_path, tiny_design, direct_cert
+    ):
+        """``work/<key>`` is named by a netlist-pinned request key, so a
+        checkpoint refused there was left by an older version: the daemon
+        drops it and recomputes instead of failing that key for good."""
+        from repro.resilience.persist import sha256_bytes
+
+        store_dir = tmp_path / "store"
+        request = CertifyRequest.from_dict(TINY)
+        work = ResultStore(store_dir).work_dir(request_key(request, tiny_design))
+        certify_design(
+            tiny_design, key=int(KEYHEX, 0),
+            config=request.config(checkpoint_dir=work),
+        )
+        path = work / "manifest.json"
+        raw = json.loads(path.read_text())
+        raw.pop("checksum")
+        raw["version"] = 1
+        raw["checksum"] = sha256_bytes(json.dumps(raw, sort_keys=True).encode())
+        path.write_text(json.dumps(raw))
+
+        with running(store_dir) as (service, client):
+            status, doc = client.submit(TINY)
+            assert status == 200, doc
+            assert service.counters["campaigns_failed"] == 0
+            assert service.counters["campaigns_completed"] == 1
+            assert not service.store.pending_work()
+        served = Certificate.from_dict(doc["certificate"])
+        assert served.render(include_timing=False) == direct_cert.render(
+            include_timing=False
+        )
 
 
 class TestDaemonKill9:

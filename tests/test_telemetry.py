@@ -29,15 +29,7 @@ from repro.telemetry import (
     trace,
 )
 from repro.telemetry.manifest import MANIFEST_SCHEMA_VERSION, cpu_model
-from repro.telemetry.stats import (
-    TraceError,
-    analyze_request,
-    load_trace,
-    render_analysis,
-    render_stats,
-    request_ids,
-    summarize,
-)
+from repro.telemetry.stats import TraceError, load_trace, render, summarize
 from repro.telemetry.trace import NULL_SPAN
 from tests.conftest import TEST_KEY80
 
@@ -204,7 +196,7 @@ class TestRequestContext:
 
             def worker():
                 with trace.adopt(parent_id):
-                    with trace.span("certify.sweep"):
+                    with trace.span("executor.run_sharded"):
                         pass
 
             t = threading.Thread(target=worker)
@@ -212,7 +204,7 @@ class TestRequestContext:
             t.join()
         trace.close()
         spans = {r["name"]: r for r in load_trace(path)}
-        assert spans["certify.sweep"]["parent_id"] == parent_id
+        assert spans["executor.run_sharded"]["parent_id"] == parent_id
         assert spans["service.campaign"]["parent_id"] is None
 
     def test_adopt_none_is_noop(self):
@@ -480,17 +472,18 @@ def test_run_manifest_identifies_the_host():
     assert json.loads(json.dumps(doc)) == doc  # round-trips through JSON
 
 
-# -------------------------------------------------------------- repro stats
+# ------------------------------------------------------- repro trace analyze
 
 
 @pytest.fixture
 def recorded_trace(tmp_path):
-    """A small but representative trace, recorded through the real tracer."""
+    """A small but representative trace, recorded through the real tracer
+    with no request id bound (as the end-to-end benchmark writes them)."""
     path = tmp_path / "run.jsonl"
     trace.configure(
         path, manifest=run_manifest(command="certify", backend="levelized", jobs=2)
     )
-    with trace.span("certify.sweep", shards=2):
+    with trace.span("executor.run_sharded", shards=2):
         for shard in range(2):
             with trace.span("executor.shard", shard=shard):
                 pass
@@ -514,14 +507,19 @@ def recorded_trace(tmp_path):
 class TestStats:
     def test_summarize_aggregates_spans_and_retries(self, recorded_trace):
         summary = summarize(load_trace(recorded_trace))
+        assert summary["request_id"] is None and summary["request_ids"] == []
         assert summary["manifest"]["command"] == "certify"
         assert summary["spans"]["executor.shard"]["count"] == 2
-        assert summary["spans"]["certify.sweep"]["count"] == 1
-        # sweep wraps the shards, so it dominates cumulative time
-        assert next(iter(summary["spans"])) == "certify.sweep"
+        assert summary["spans"]["executor.run_sharded"]["count"] == 1
+        # the sweep wraps the shards, so it dominates cumulative time
+        assert next(iter(summary["spans"])) == "executor.run_sharded"
         assert summary["retries"] == 1
         assert summary["failed_shards"] == 0
         assert summary["progress"]["certify"]["done"] == 128
+        assert [step["name"] for step in summary["critical_path"]][0] == (
+            "executor.run_sharded"
+        )
+        assert summary["tree"] is None  # a whole trace is not drawn as a tree
 
     def test_quarantined_shards_count_as_failed(self):
         # the supervisor's quarantine event, as ``_quarantine`` emits it
@@ -531,7 +529,7 @@ class TestStats:
         }
         summary = summarize([event, dict(event, attrs={"shard": 5})])
         assert summary["failed_shards"] == 2
-        assert "2 failed permanently" in render_stats(summary)
+        assert "2 failed permanently" in render(summary)
         # a trace that kept only the final metrics falls back to the counter
         metrics = {
             "type": "metrics",
@@ -540,22 +538,34 @@ class TestStats:
         assert summarize([metrics])["failed_shards"] == 4
 
     def test_render_stats_digest(self, recorded_trace):
-        text = render_stats(summarize(load_trace(recorded_trace)))
-        assert "command=certify" in text
-        assert "certify.sweep" in text
+        text = render(summarize(load_trace(recorded_trace)))
+        assert "command=certify" in text and "backend=levelized" in text
+        assert "trace: " in text and "3 spans across 1 process(es)" in text
+        assert "executor.run_sharded" in text
         assert "1 retried" in text
         assert "128/128 units" in text
         assert "executor.shards_retried = 1" in text
+        assert "slowest shards (of 2):" in text
+        assert "span tree:" not in text
 
     def test_cli_stats_subcommand(self, recorded_trace, capsys):
-        assert main(["stats", str(recorded_trace)]) == 0
+        # ``repro stats`` folded into ``repro trace analyze``
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", str(recorded_trace)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["trace", "analyze", str(recorded_trace), "--top", "1"]) == 0
         out = capsys.readouterr().out
         assert "top spans by cumulative wall time" in out
-        assert "executor.shard" in out
+        assert "executor.run_sharded" in out
+        # --top 1: the shard row is only in the slowest-shard table
+        assert "  executor.shard " not in out
 
-    def test_cli_stats_on_missing_file_fails_cleanly(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path / "nope.jsonl")]) == 1
-        assert "cannot read trace" in capsys.readouterr().err
+    def test_cli_analyze_garbage_file_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "garbage.jsonl"
+        path.write_text('{"type": "span"}\nnot json\n')
+        assert main(["trace", "analyze", str(path)]) == 1
+        assert "garbage.jsonl:2: not JSON" in capsys.readouterr().err
 
     def test_cli_trace_flag_records_a_parseable_trace(self, tmp_path, capsys):
         path = tmp_path / "cli.jsonl"
@@ -575,12 +585,11 @@ class TestStats:
         rid = spans[0]["request_id"]
         assert rid.startswith("cli-") and rid.endswith("-fig4")
         assert all(s["request_id"] == rid for s in spans)
-        # ...which makes any CLI trace analyzable by request id
+        # ...which makes any CLI trace report its run's span tree
+        capsys.readouterr()
         assert main(["trace", "analyze", str(path)]) == 0
-        assert f"request {rid}" in capsys.readouterr().out
-
-
-# ------------------------------------------------------- repro trace analyze
+        out = capsys.readouterr().out
+        assert f"request {rid}" in out and "span tree:" in out
 
 
 @pytest.fixture
@@ -596,7 +605,7 @@ def correlated_trace(tmp_path):
 
         def campaign_thread():
             with trace.bind(request_id="req-000001"), trace.adopt(parent):
-                with trace.span("certify.sweep"):
+                with trace.span("executor.run_sharded"):
                     for shard in range(3):
                         with trace.span(
                             "executor.shard",
@@ -619,49 +628,74 @@ def correlated_trace(tmp_path):
 
 class TestTraceAnalyze:
     def test_request_ids_indexes_the_trace(self, correlated_trace):
-        ids = request_ids(load_trace(correlated_trace))
-        assert set(ids) == {"req-000001", "req-000002"}
-        assert ids["req-000001"]["spans"] == 5
-        assert "executor.shard" in ids["req-000001"]["names"]
+        records = load_trace(correlated_trace)
+        summary = summarize(records)
+        assert summary["request_ids"] == ["req-000001", "req-000002"]
+        assert summary["request_id"] is None  # two ids: the whole trace
+        assert summary["spans"]["service.campaign"]["count"] == 2
+        one = summarize(records, request_id="req-000001")
+        assert one["request_ids"] == ["req-000001", "req-000002"]
+        assert sum(agg["count"] for agg in one["spans"].values()) == 5
+        assert "executor.shard" in one["spans"]
 
     def test_analyze_reconstructs_one_tree_with_critical_path(
         self, correlated_trace
     ):
-        analysis = analyze_request(load_trace(correlated_trace), "req-000001")
-        assert analysis["spans"] == 5
+        summary = summarize(load_trace(correlated_trace), "req-000001")
+        assert summary["request_id"] == "req-000001"
         # one root despite the thread hop: adopt() kept the tree connected
-        assert [r["name"] for r in analysis["roots"]] == ["service.campaign"]
-        path_names = [step["name"] for step in analysis["critical_path"]]
+        assert [r["name"] for r in summary["tree"]["roots"]] == ["service.campaign"]
+        path_names = [step["name"] for step in summary["critical_path"]]
         assert path_names[:3] == [
-            "service.campaign", "certify.sweep", "executor.shard",
+            "service.campaign", "executor.run_sharded", "executor.shard",
         ]
-        assert analysis["phases"]["executor.shard"]["count"] == 3
-        durations = [row["dur_s"] for row in analysis["shards"]]
+        assert summary["spans"]["executor.shard"]["count"] == 3
+        durations = [row["dur_s"] for row in summary["shards"]]
         assert durations == sorted(durations, reverse=True)  # slowest first
-        assert {row["shard"] for row in analysis["shards"]} == {0, 1, 2}
-        assert analysis["progress"]["done"] == 24
+        assert {row["shard"] for row in summary["shards"]} == {0, 1, 2}
+        assert summary["progress"]["certify"]["done"] == 24
 
     def test_analyze_isolates_requests(self, correlated_trace):
-        analysis = analyze_request(load_trace(correlated_trace), "req-000002")
-        assert analysis["spans"] == 1
-        assert analysis["shards"] == []
+        summary = summarize(load_trace(correlated_trace), "req-000002")
+        assert sum(agg["count"] for agg in summary["spans"].values()) == 1
+        assert summary["shards"] == []
+        assert summary["progress"] == {}
 
-    def test_analyze_unknown_request_raises(self, correlated_trace):
-        with pytest.raises(TraceError):
-            analyze_request(load_trace(correlated_trace), "req-999999")
+    def test_analyze_unknown_request_raises(self, correlated_trace, capsys):
+        with pytest.raises(TraceError, match="req-000001, req-000002"):
+            summarize(load_trace(correlated_trace), "req-999999")
+        assert main(
+            ["trace", "analyze", str(correlated_trace), "--request", "req-999999"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "req-999999" in err and "req-000001, req-000002" in err
 
     def test_render_analysis_report(self, correlated_trace):
-        analysis = analyze_request(load_trace(correlated_trace), "req-000001")
-        text = render_analysis(analysis)
-        assert "request req-000001: 5 spans" in text
+        text = render(summarize(load_trace(correlated_trace), "req-000001"))
+        assert "request req-000001: " in text and " 5 spans " in text
+        assert "span tree:" in text
         assert "critical path: service.campaign" in text
         assert "slowest shards (of 3):" in text
-        assert "per-phase wall time:" in text
+        assert "top spans by cumulative wall time:" in text
+        assert "throughput [certify]: 24/24 units" in text
 
-    def test_cli_analyze_requires_disambiguation(self, correlated_trace, capsys):
-        assert main(["trace", "analyze", str(correlated_trace)]) == 1
+    def test_cli_analyze_reports_a_multi_request_trace_whole(
+        self, correlated_trace, capsys
+    ):
+        assert main(["trace", "analyze", str(correlated_trace)]) == 0
         out = capsys.readouterr().out
-        assert "req-000001" in out and "req-000002" in out
+        assert "request ids (2): req-000001, req-000002" in out
+        assert "trace: " in out and "top spans by cumulative wall time" in out
+        assert "critical path: service.campaign" in out
+        assert "span tree:" not in out
+
+    def test_cli_analyze_reports_a_trace_without_request_ids(
+        self, recorded_trace, capsys
+    ):
+        assert main(["trace", "analyze", str(recorded_trace)]) == 0
+        out = capsys.readouterr().out
+        assert "backend=levelized" in out and "request ids" not in out
+        assert "executor.shard" in out
 
     def test_cli_analyze_by_request_id(self, correlated_trace, capsys):
         assert main(
@@ -669,6 +703,7 @@ class TestTraceAnalyze:
         ) == 0
         out = capsys.readouterr().out
         assert "critical path" in out and "executor.shard" in out
+        assert "span tree:" in out
 
     def test_cli_analyze_autoselects_a_single_request(self, tmp_path, capsys):
         path = tmp_path / "one.jsonl"
