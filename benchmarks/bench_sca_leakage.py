@@ -50,9 +50,9 @@ def run_assessment():
     rows.append(["fixed-vs-random PT", "whole chip", "HD", max_abs_t(a, b)])
 
     def lam_groups(model, nets):
-        l0 = power_trace(design, fixed, KEY, model=model, lambdas=[0] * N_TRACES,
+        l0 = power_trace(design, fixed, KEY, model=model, lambda_pin=0,
                          rng=3, nets=nets)
-        l1 = power_trace(design, fixed, KEY, model=model, lambdas=[1] * N_TRACES,
+        l1 = power_trace(design, fixed, KEY, model=model, lambda_pin=1,
                          rng=4, nets=nets)
         return l0, l1
 

@@ -213,17 +213,17 @@ def fta_attack(
     true_x = (state >> (n * sbox)) & ((1 << n) - 1)
 
     # Clean run (per-λ randomised; ineffectiveness compares against the
-    # correct ciphertext, which is λ-independent).
+    # correct ciphertext, which is λ-independent).  The same simulator then
+    # serves every wire's faulted run.
     pts = [plaintext] * n_rep
-    clean_sim = design.simulator(n_rep)
-    clean = design.run(clean_sim, pts, key, rng=seed)
+    sim = design.simulator(n_rep)
+    clean = design.run(sim, pts, key, rng=seed)
     expected = clean["ciphertext"]
 
     observations = np.zeros(len(targets))
     for t, net in enumerate(targets):
         spec_t = FaultSpec.at(mapping[net], FaultType.BIT_FLIP, cycle)
-        injector = FaultInjector([spec_t], n_rep, rng=seed + 1)
-        sim = design.simulator(n_rep, faults=injector)
+        sim.faults = FaultInjector([spec_t], n_rep, rng=seed + 1)
         res = design.run(sim, pts, key, rng=seed + 2 + t)
         changed = (res["ciphertext"] != expected).any(axis=1)
         if design.flag_observable:

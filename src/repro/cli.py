@@ -188,8 +188,8 @@ def _cmd_sca(args) -> int:
         (LeakageModel.HAMMING_DISTANCE, core_a, "core-a probe, HD (cycles>=1)"),
         (LeakageModel.HAMMING_WEIGHT, core_a, "core-a probe, HW"),
     ):
-        l0 = power_trace(design, fixed, key, model=model, lambdas=[0] * n, rng=3, nets=nets)
-        l1 = power_trace(design, fixed, key, model=model, lambdas=[1] * n, rng=4, nets=nets)
+        l0 = power_trace(design, fixed, key, model=model, lambda_pin=0, rng=3, nets=nets)
+        l1 = power_trace(design, fixed, key, model=model, lambda_pin=1, rng=4, nets=nets)
         if "cycles>=1" in label:
             l0, l1 = l0[:, 1:], l1[:, 1:]
         print(f"λ=0 vs λ=1, {label}: max|t| = {max_abs_t(l0, l1):.1f}")

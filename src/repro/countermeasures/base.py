@@ -15,15 +15,16 @@ outputs
     detection flag for campaign statistics, but their released ciphertext
     is the corrected value.
 
-Timing: drive the inputs (:meth:`ProtectedDesign.drive`), run
-``design.cycles`` clock steps, then one combinational evaluation; then read
-outputs (see :meth:`ProtectedDesign.run`).
+Timing: :meth:`ProtectedDesign.clock` writes every input as packed rows,
+runs ``design.cycles`` clock steps and then one combinational evaluation,
+writing λ's row for each evaluation before it; :meth:`ProtectedDesign.run`
+drains it and reads the outputs.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,72 +107,67 @@ class ProtectedDesign:
         return Simulator(self.circuit, batch, faults=faults, backend=backend)
 
     def draw(
-        self, rng: np.random.Generator, batch: int, *, pinned_lambda: bool = False
-    ) -> dict[str, np.ndarray | list[np.ndarray]]:
+        self, rng: np.random.Generator, batch: int
+    ) -> dict[str, np.ndarray]:
         """The per-invocation randomness of one batched invocation.
 
         Draws, packed from ``rng`` and in this order, the ``garbage`` word
-        (if the design has that port) and λ: one word for the static
-        variants, one per cycle (``cycles + 1`` words) for the dynamic ones,
-        nothing when ``pinned_lambda``.  Returns them by port name as
-        ``(width, n_words)`` uint64 rows (a list of them for dynamic λ).
+        (if the design has that port) as ``(block, n_words)`` uint64 rows
+        and λ as ``(cycles + 1, lambda_width, n_words)`` rows, one per
+        evaluation: a static variant's single word broadcast without a
+        copy, or a dynamic variant's ``cycles + 1`` fresh words (the
+        free-running TRNG).  Returns them by port name.
         """
-        drawn: dict[str, np.ndarray | list[np.ndarray]] = {}
+        drawn: dict[str, np.ndarray] = {}
         if "garbage" in self.circuit.inputs:
             drawn["garbage"] = random_words(rng, batch, self.spec.block_bits)
-        if self.lambda_width and not pinned_lambda:
+        if self.lambda_width:
+            evaluations = self.cycles + 1
             if self.dynamic_lambda:
-                drawn["lambda"] = [
+                drawn["lambda"] = np.stack([
                     random_words(rng, batch, self.lambda_width)
-                    for _ in range(self.cycles + 1)
-                ]
+                    for _ in range(evaluations)
+                ])
             else:
-                drawn["lambda"] = random_words(rng, batch, self.lambda_width)
+                word = random_words(rng, batch, self.lambda_width)
+                drawn["lambda"] = np.broadcast_to(word, (evaluations, *word.shape))
         return drawn
 
-    def drive(
+    def clock(
         self,
         sim: Simulator,
         plaintexts,
         key: int,
-        rng: np.random.Generator,
         *,
-        lambdas: Sequence[int] | None = None,
-    ) -> None:
-        """Reset ``sim`` and drive the inputs of one batched invocation.
+        rng: np.random.Generator | int | None = None,
+    ) -> Iterator[int]:
+        """Clock ``sim`` through one batched encryption: the one pass loop.
 
-        ``plaintexts`` is ``(block, n_words)`` uint64 packed rows, a
-        ``(batch, block)`` 0/1 matrix or one integer per run.  The key is
-        broadcast to every lane.  The garbage word and λ come from
-        :meth:`draw`; λ in the dynamic variants is streamed through an
-        input schedule that models the free-running TRNG.  ``lambdas`` pins
-        λ per run instead (static-λ designs only) and draws nothing for it.
+        Resets ``sim``, writes the plaintext (``(block, n_words)`` uint64
+        packed rows or one integer per run), broadcasts the key and writes
+        the garbage draw, then evaluates cycles ``0 … cycles`` (latching
+        after all but the last), writing that evaluation's λ row
+        (:meth:`draw`) before each.  Yields each cycle number before its
+        evaluation, so a caller can sample the registers between clock
+        edges.
         """
         sim.reset()
         if isinstance(plaintexts, np.ndarray) and plaintexts.ndim == 2:
-            if plaintexts.dtype == np.uint64:
-                sim.set_input_words("plaintext", plaintexts)
-            else:
-                sim.set_input_bits("plaintext", plaintexts)
+            sim.set_input_words("plaintext", plaintexts)
         else:
             sim.set_input_ints("plaintext", list(plaintexts))
         sim.broadcast_input("key", key)
-        drawn = self.draw(rng, sim.batch, pinned_lambda=lambdas is not None)
+        drawn = self.draw(make_rng(rng), sim.batch)
         if "garbage" in drawn:
             sim.set_input_words("garbage", drawn["garbage"])
-        if not self.lambda_width:
-            return
-        if lambdas is not None:
-            if self.dynamic_lambda:
-                raise ValueError("λ pinning needs a static-λ design (prime/acisp)")
-            sim.set_input_ints("lambda", list(lambdas))
-        elif self.dynamic_lambda:
-            per_cycle = drawn["lambda"]
-            sim.set_input_schedule(
-                "lambda", lambda cycle: per_cycle[min(cycle, self.cycles)]
-            )
-        else:
-            sim.set_input_words("lambda", drawn["lambda"])
+        lam = drawn.get("lambda")
+        for cycle in range(self.cycles + 1):
+            yield cycle
+            if lam is not None:
+                sim.set_input_words("lambda", lam[cycle])
+            if cycle < self.cycles:
+                sim.step()
+        sim.eval_comb()
 
     def run(
         self,
@@ -181,18 +177,17 @@ class ProtectedDesign:
         *,
         rng: np.random.Generator | int | None = None,
     ) -> "RunOutputs":
-        """Drive one batched encryption; returns its outputs.
+        """One batched encryption (:meth:`clock`, drained); returns its
+        outputs.
 
-        ``plaintexts`` and the randomness drawn from ``rng`` are as in
-        :meth:`drive`.  The result maps ``"ciphertext"`` to a
-        ``(batch, block)`` bit matrix and ``"fault"`` to ``(batch,)`` bits;
-        its ``ciphertext_rows`` hold the same words as byte rows, read
+        The result maps ``"ciphertext"`` to a ``(batch, block)`` bit
+        matrix and ``"fault"`` to ``(batch,)`` bits; its
+        ``ciphertext_rows`` hold the same words as byte rows, read
         straight from the simulator's lanes (the bit matrix is unpacked
         from them only when asked for).
         """
-        self.drive(sim, plaintexts, key, make_rng(rng))
-        sim.run(self.cycles)
-        sim.eval_comb()
+        for _ in self.clock(sim, plaintexts, key, rng=rng):
+            pass
         return RunOutputs(
             sim.get_output_bytes("ciphertext"),
             sim.get_output_bits("fault")[:, 0],

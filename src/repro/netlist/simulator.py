@@ -13,7 +13,10 @@ uint64 lane masks per net, and the net's packed value becomes
 start of the cycle, gate outputs right after evaluation).  This mirrors
 VerFI's semantics: the corrupted value is seen by the entire fanout,
 including flip-flop D pins, within that cycle, and a fault on a primary
-input or constant lasts only for that cycle.
+input or constant lasts only for that cycle.  Inputs are packed rows the
+caller writes between evaluations; a free-running source such as the TRNG
+of the dynamic-λ countermeasures is one row written before each cycle
+(:meth:`repro.countermeasures.base.ProtectedDesign.clock`).
 
 Three interchangeable evaluation kernels implement those semantics behind
 one contract (:class:`Kernel`): the per-gate :class:`ReferenceKernel` in
@@ -229,14 +232,14 @@ class Simulator:
     its own net's row, so only *when* it applies matters.  Within one
     :meth:`eval_comb` call:
 
-    1. input schedules (:meth:`set_input_schedule`) drive their ports;
-    2. masks on *source* nets (primary inputs, constants, DFF outputs) are
-       applied to the driven/latched values.  A masked input or constant
-       row is restored to its driven value at the start of the next
-       evaluation (or by the next port write or :meth:`reset`), so a fault
-       on it lasts exactly its cycle and a repeated evaluation of the same
-       cycle applies it once;
-    3. gates evaluate, and a faulted gate output's masks are applied the
+    1. masks on *source* nets (primary inputs, constants, DFF outputs) are
+       applied to the driven/latched values.  A masked source row is
+       restored to its unmasked value at the start of the next evaluation
+       (or by the next port write or :meth:`reset`), and a masked DFF
+       output also by the next latch, which overwrites it; so a fault on
+       an input or constant lasts exactly its cycle, and a repeated
+       evaluation of the same cycle applies a source mask once;
+    2. gates evaluate, and a faulted gate output's masks are applied the
        moment that gate's value is produced — before any consumer reads
        it — so faults along one path all take effect.
 
@@ -290,11 +293,12 @@ class Simulator:
                 if g.gtype is GateType.CONST1:
                     ones.append(g.out)
         self._ones_rows = self._net_rows(ones)
-        # (row, driven value) of input/constant rows the last evaluation
-        # masked (contract step 2)
-        self._faulted_sources: list[tuple[int, np.ndarray]] = []
+        # (row, unmasked value) of the source rows the last evaluation
+        # masked (contract step 1): inputs and constants, then DFF outputs,
+        # whose restore the next latch drops
+        self._masked_inputs: list[tuple[int, np.ndarray]] = []
+        self._masked_dffs: list[tuple[int, np.ndarray]] = []
         self._port_rows: dict[str, np.ndarray] = {}
-        self._schedules: dict[str, object] = {}
         self.reset()
 
     # ------------------------------------------------------------ lifecycle
@@ -302,15 +306,17 @@ class Simulator:
     def reset(self) -> None:
         """Return to power-on state: cycle 0, DFFs at init, inputs cleared."""
         self.cycle = 0
-        self._faulted_sources.clear()
+        self._masked_inputs.clear()
+        self._masked_dffs.clear()
         self._vals.fill(0)
         self._vals[self._ones_rows] = _ONES
 
     def _restore_sources(self) -> None:
-        """Undo the last evaluation's masks on input/constant rows."""
-        for row, driven in self._faulted_sources:
-            self._vals[row] = driven
-        self._faulted_sources.clear()
+        """Undo the last evaluation's masks on source rows."""
+        for masked in (self._masked_inputs, self._masked_dffs):
+            for row, unmasked in masked:
+                self._vals[row] = unmasked
+            masked.clear()
 
     # --------------------------------------------------------------- inputs
 
@@ -348,24 +354,6 @@ class Simulator:
 
         self.set_input_bits(name, ints_to_bits(values, len(nets)))
 
-    def set_input_schedule(self, name: str, provider) -> None:
-        """Drive an input port with fresh values every clock cycle.
-
-        ``provider(cycle)`` returns either ``(width, n_words)`` uint64
-        packed rows (what :func:`repro.rng.random_words` draws; driven as
-        they are) or a ``(batch, width)`` 0/1 matrix of any other dtype
-        (packed first).  It is consulted at the start of each combinational
-        evaluation.  This models inputs fed by a free-running source — in
-        this repository, the TRNG streaming fresh λ bits to the per-round /
-        per-S-box countermeasure variants.
-        """
-        self._input_nets(name)  # validate the port exists
-        self._schedules[name] = provider
-
-    def clear_input_schedule(self, name: str) -> None:
-        """Remove a per-cycle driver installed by :meth:`set_input_schedule`."""
-        self._schedules.pop(name, None)
-
     def broadcast_input(self, name: str, value: int) -> None:
         """Drive an input port with the same integer in every lane."""
         self._restore_sources()
@@ -389,18 +377,12 @@ class Simulator:
     def eval_comb(self) -> None:
         """Evaluate the combinational program for the current cycle.
 
-        Follows the fault contract in the class docstring: input schedules
-        first, then source-net masks, then the kernel with each gate
-        output's masks applied as that gate is produced, so the corrupted
-        value propagates exactly as a physical glitch would.
+        Follows the fault contract in the class docstring: source-net
+        masks first, then the kernel with each gate output's masks applied
+        as that gate is produced, so the corrupted value propagates exactly
+        as a physical glitch would.
         """
         self._restore_sources()
-        for name, provider in self._schedules.items():
-            value = provider(self.cycle)
-            if value.dtype == np.uint64:
-                self.set_input_words(name, value)
-            else:
-                self.set_input_bits(name, value)
         faults = self.faults
         fault_map = faults.for_cycle(self.cycle) if faults is not None else _NO_FAULTS
         for net, (keep, flip) in fault_map.items():
@@ -414,8 +396,9 @@ class Simulator:
                 continue
             row, holds = source
             v = self._vals[row]
-            if holds:
-                self._faulted_sources.append((row, v.copy()))
+            (self._masked_inputs if holds else self._masked_dffs).append(
+                (row, v.copy())
+            )
             v &= keep
             v ^= flip
         self.kernel.run(fault_map)
@@ -424,6 +407,7 @@ class Simulator:
         """One full clock cycle: evaluate logic, then latch every DFF."""
         self.eval_comb()
         self.kernel.latch()
+        self._masked_dffs.clear()
         self.cycle += 1
 
     def run(self, cycles: int) -> None:

@@ -4,10 +4,11 @@
 contract (:class:`~repro.netlist.simulator.Kernel`): the kernel owns the
 value matrix ``vals`` and the net→row map ``row_of``, evaluates with
 ``run(fault_map)`` and clocks with ``latch()``.  These tests pin that
-contract per backend, and pin contract step 2: a fault on a primary input
-or constant lasts exactly its cycle.  The differential suite cannot see a
-fault that outlives its window, since every backend shares the simulator's
-source-net path.
+contract per backend, and pin contract step 1: a fault on a primary input
+or constant lasts exactly its cycle, and a source mask (DFF outputs
+included) applies once however often its cycle is evaluated.  The
+differential suite cannot see a fault that outlives its window, since
+every backend shares the simulator's source-net path.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class TestKernelContract:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSourceFaultWindow:
-    """A one-cycle fault on an input or constant is gone the next cycle."""
+    """A one-cycle fault on an input or constant is gone the next cycle,
+    and no source mask compounds when its cycle is evaluated again."""
 
     @pytest.mark.parametrize(
         "fault_type", [FaultType.STUCK_AT_1, FaultType.BIT_FLIP]
@@ -149,6 +151,22 @@ class TestSourceFaultWindow:
         assert _lanes(sim, q) == {1}
         sim.step()
         assert _lanes(sim, y) == {0}
+        assert _lanes(sim, q) == {0}
+
+    @pytest.mark.parametrize("evaluations", [1, 2, 3])
+    def test_dff_output_fault_applies_once_per_evaluated_cycle(
+        self, backend, evaluations
+    ):
+        circ, a, _, q = _window_circuit()
+        faults = FaultInjector([FaultSpec.at(q, FaultType.BIT_FLIP, 0)], BATCH)
+        sim = Simulator(circ, batch=BATCH, faults=faults, backend=backend)
+        sim.set_input_ints("a", [0] * BATCH)
+        for _ in range(evaluations):
+            sim.eval_comb()
+        assert _lanes(sim, q) == {1}
+        sim.step()  # the latch overwrites the flipped Q with D = a = 0
+        assert _lanes(sim, q) == {0}
+        sim.eval_comb()  # cycle 1 is fault-free: nothing to restore
         assert _lanes(sim, q) == {0}
 
     def test_port_write_after_a_faulted_cycle_wins(self, backend):

@@ -67,9 +67,34 @@ class TestPowerModelSanity:
         )
         assert max_abs_t(fixed, random_) > TVLA_THRESHOLD
 
-    def test_lambda_pinning_requires_static_design(self, ours_per_round):
-        with pytest.raises(ValueError):
-            power_trace(ours_per_round, [0] * 4, TEST_KEY80, lambdas=[0] * 4)
+    def test_lambda_pinning_requires_a_lambda_port(self, naive_design):
+        """A pin on a design without λ must not pass for a pinned trace."""
+        with pytest.raises(ValueError, match="'naive_duplication' design has no"):
+            power_trace(naive_design, [0] * 4, TEST_KEY80, lambda_pin=0)
+
+    def test_lambda_pin_must_fit_the_port(self, ours_prime):
+        with pytest.raises(ValueError, match="1-bit λ input"):
+            power_trace(ours_prime, [0] * 4, TEST_KEY80, lambda_pin=2)
+
+    def test_pin_holds_dynamic_lambda_in_every_cycle(self, ours_per_round):
+        """A stuck-at on the λ input pins the per-round TRNG as well: the
+        drawn stream no longer matters, and the two pins differ."""
+        core_a_state = [
+            g.out
+            for g in ours_per_round.circuit.dffs()
+            if g.tag.startswith("a/state")
+        ]
+
+        def trace(pin, rng):
+            return power_trace(
+                ours_per_round, [FIXED_PT] * 8, TEST_KEY80,
+                model=LeakageModel.HAMMING_WEIGHT, nets=core_a_state,
+                lambda_pin=pin, rng=rng,
+            )
+
+        np.testing.assert_array_equal(trace(0, 1), trace(0, 2))
+        np.testing.assert_array_equal(trace(1, 1), trace(1, 2))
+        assert not np.array_equal(trace(0, 1), trace(1, 1))
 
 
 class TestLambdaLeakage:
@@ -78,11 +103,11 @@ class TestLambdaLeakage:
     def groups(self, design, model, nets=None):
         l0 = power_trace(
             design, [FIXED_PT] * N, TEST_KEY80, model=model,
-            lambdas=[0] * N, rng=3, nets=nets,
+            lambda_pin=0, rng=3, nets=nets,
         )
         l1 = power_trace(
             design, [FIXED_PT] * N, TEST_KEY80, model=model,
-            lambdas=[1] * N, rng=4, nets=nets,
+            lambda_pin=1, rng=4, nets=nets,
         )
         return l0, l1
 

@@ -108,24 +108,22 @@ class TestSequential:
         assert sim.get_output_ints("q") == [0xC] * 5
 
     def test_input_schedule_applied_per_cycle(self):
-        # accumulate XOR of a scheduled input over 4 cycles
+        # accumulate XOR of an input rewritten before every cycle
         b = CircuitBuilder()
         x = b.input("x", 4)
         q, connect = b.register(4)
         connect(b.xor_word(q, x))
         b.output("q", q)
         sim = Simulator(b.circuit, batch=1)
-        feed = [0x1, 0x2, 0x4, 0x8]
-        sim.set_input_schedule("x", lambda cycle: np.array(
-            [[(feed[cycle] >> i) & 1 for i in range(4)]], dtype=np.uint8))
-        sim.run(4)
-        sim.clear_input_schedule("x")
+        for value in (0x1, 0x2, 0x4, 0x8):
+            sim.set_input_ints("x", [value])
+            sim.step()
         assert sim.get_output_ints("q") == [0xF]
 
-    def test_schedule_validates_port(self):
+    def test_input_rows_validate_port(self):
         sim = Simulator(self.make_counter(), batch=1)
         with pytest.raises(KeyError):
-            sim.set_input_schedule("nope", lambda c: None)
+            sim.set_input_words("nope", np.zeros((1, 1), dtype=np.uint64))
 
 
 #: one-word ``(keep, flip)`` pairs on every lane: stuck-at-0 and bit flip

@@ -116,19 +116,27 @@ class RandomFaults:
 
 
 def assert_backends_agree(circuit: Circuit, batch: int, cycles: int, faults=None, schedule=None):
-    """Step every backend in lockstep against the reference oracle."""
+    """Step every backend in lockstep against the reference oracle.
+
+    ``schedule``, if given, holds one ``(batch, width)`` 0/1 matrix per
+    evaluation, written to ``x`` before it (a free-running input source)."""
     sims = {}
     for backend in BACKENDS:
         sim = Simulator(circuit, batch, faults=faults, backend=backend)
-        if schedule is not None:
-            sim.set_input_schedule("x", schedule)
-        else:
+        if schedule is None:
             width = len(circuit.inputs["x"])
             sim.set_input_ints("x", [(i * 2654435761) % (1 << width) for i in range(batch)])
         sims[backend] = sim
     ref = sims.pop("reference")
     all_nets = range(circuit.num_nets)
+
+    def feed(cycle):
+        if schedule is not None:
+            for sim in (ref, *sims.values()):
+                sim.set_input_bits("x", schedule[cycle])
+
     for cycle in range(cycles):
+        feed(cycle)
         ref.step()
         want = ref.get_nets_packed(all_nets)
         for backend, sim in sims.items():
@@ -137,6 +145,7 @@ def assert_backends_agree(circuit: Circuit, batch: int, cycles: int, faults=None
                 want, sim.get_nets_packed(all_nets),
                 err_msg=f"{backend} diverges from reference after cycle {cycle}",
             )
+    feed(cycles)
     ref.eval_comb()
     want = ref.get_nets_packed(all_nets)
     want_y = ref.get_output_bits("y")
@@ -206,17 +215,18 @@ class TestScheduledInputs:
         feed = np.random.default_rng(8).integers(0, 2, size=(10, batch, width)).astype(np.uint8)
         faults = RandomFaults(rng, circuit, (batch + 63) // 64, 8)
         assert_backends_agree(
-            circuit, batch, 8, faults=faults, schedule=lambda cy: feed[cy]
+            circuit, batch, 8, faults=faults, schedule=feed
         )
 
 
 class TestFaultOrderingContract:
     """Pin the eval_comb ordering every backend must honour.
 
-    Contract (Simulator docstring): input schedules first, then source-net
-    masks, then gate evaluation with each gate output's masks applied as
-    the gate is produced — a consumer always reads its driver's *faulted*
-    value, even when driver and consumer sit in different levels.
+    Contract (Simulator docstring): source-net masks on the rows written
+    before the evaluation, then gate evaluation with each gate output's
+    masks applied as the gate is produced — a consumer always reads its
+    driver's *faulted* value, even when driver and consumer sit in
+    different levels.
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -232,11 +242,13 @@ class TestFaultOrderingContract:
                 return {x[0]: STUCK_AT_0}
 
         sim = Simulator(b.circuit, batch=4, faults=StuckX(), backend=backend)
-        # schedule drives ones every cycle; the stuck-at-0 masks must win
-        # because source masks apply after schedules
-        sim.set_input_schedule("x", lambda cy: np.ones((4, 1), dtype=np.uint8))
-        sim.eval_comb()
-        assert sim.get_output_ints("y") == [0, 0, 0, 0]
+        # ones are written before every cycle; the stuck-at-0 masks must
+        # win because source masks apply to the rows written before them
+        for _ in range(3):
+            sim.set_input_words("x", np.full((1, 1), 2**64 - 1, dtype=np.uint64))
+            sim.eval_comb()
+            assert sim.get_output_ints("y") == [0, 0, 0, 0]
+            sim.step()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_gate_output_transforms_compose_in_program_order(self, backend):

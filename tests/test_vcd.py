@@ -77,6 +77,28 @@ class TestRecorder:
         with pytest.raises(ValueError):
             VcdRecorder(sim, {})
 
+    def test_recording_does_not_change_a_faulted_run(self):
+        """``sample()`` re-evaluates the cycle; a DFF-output flip must
+        still apply once, so the recorded run ends where the plain one does."""
+        from repro.faults import FaultInjector, FaultSpec, FaultType
+
+        def hold_register(record: bool) -> list[int]:
+            b = CircuitBuilder("hold")
+            q, connect = b.register(1)
+            connect(q)
+            b.output("q", q)
+            flip = FaultSpec.at(q[0], FaultType.BIT_FLIP, 1)
+            sim = Simulator(b.circuit, batch=1, faults=FaultInjector([flip], 1))
+            rec = VcdRecorder(sim, {"q": q}) if record else None
+            for _ in range(3):
+                sim.step()
+                if rec is not None:
+                    rec.sample()
+            return sim.get_output_ints("q")
+
+        assert hold_register(record=False) == [1]
+        assert hold_register(record=True) == [1]
+
     def test_fault_debug_scenario(self, tmp_path):
         """The intended workflow: record a faulted protected run."""
         from repro.ciphers.netlist_present import PresentSpec
